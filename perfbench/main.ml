@@ -55,29 +55,31 @@ let print_header ~workload ~seed =
     (Dtr_spf.Spf_delta.enabled ()) (Dtr_core.Prune.enabled ())
     (Domain.recommended_domain_count ())
 
-(* Each end-to-end time is the best (lowest) over the run's windows or
-   set-ups; every window is printed beside it.  See README.md. *)
-let end_to_end (o : Workloads.outcome) tally =
-  let p50 = Array.map Stats.median o.latency in
+(* Times scaled to the reference machine: [setup_s] and [work_s] are
+   medians over the run's set-ups and work windows, [p50_ms] the median of
+   all its requests, and [tail_ms] the median over its request windows of
+   each window's tail.  The raw window times and the reference times are
+   printed beside them.  See README.md. *)
+let end_to_end (o : Workloads.outcome) tally ~reference =
+  let requests = Array.concat (Array.to_list o.latency) in
   let tails = Array.map Stats.tail o.latency in
-  let best a = Array.fold_left Float.min Float.infinity a in
   let show name a =
-    Printf.printf "# %s per window: %s\n" name
+    Printf.printf "# %s: %s\n" name
       (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.6g") a)))
   in
-  Printf.printf "# jobs=%d work windows=%d request windows=%d of %d, tail=p%g setups=%d error_rate=%g\n"
-    o.jobs (Array.length o.work) (Array.length o.latency)
-    (Array.length o.latency.(0)) (fst tails.(0)) (Array.length o.setup) (Result.error_rate tally);
-  Printf.printf "# setup_s median=%.6g best=%.6g\n" (Stats.median o.setup) (best o.setup);
-  show "work_s" o.work;
-  show "p50_ms" (Array.map (( *. ) 1e3) p50);
-  show "tail_ms" (Array.map (fun (_, t) -> 1e3 *. t) tails);
+  Printf.printf "# jobs=%d work windows=%d requests=%d in %d windows, tail=p%g setups=%d error_rate=%g\n"
+    o.jobs (Array.length o.work) (Array.length requests) (Array.length o.latency) (fst tails.(0))
+    (Array.length o.setup) (Result.error_rate tally);
+  show "reference_s per measurement" reference;
+  show "raw work_s per window" o.raw_work;
+  show "work_s per window" o.work;
+  show "tail_ms per request window" (Array.map (fun (_, t) -> 1e3 *. t) tails);
   let m = Result.metric in
   [
-    m "setup_s" (best o.setup) "s";
-    m "work_s" (best o.work) "s";
-    m "p50_ms" (1e3 *. best p50) "ms";
-    m "tail_ms" (1e3 *. best (Array.map snd tails)) "ms";
+    m "setup_s" (Stats.median o.setup) "s";
+    m "work_s" (Stats.median o.work) "s";
+    m "p50_ms" (1e3 *. Stats.median requests) "ms";
+    m "tail_ms" (1e3 *. Stats.median (Array.map snd tails)) "ms";
     m "peak_rss_mb" (peak_rss_mb ()) "MB";
   ]
 
@@ -85,15 +87,24 @@ let run_one ~name ~seed ~seconds ~trace =
   let run = List.assoc name Workloads.all in
   let tally = Result.tally () in
   print_header ~workload:name ~seed;
-  let o = run { Workloads.seed; seconds; trace; tally } in
+  let ctx = { Workloads.seed; seconds; trace; tally; reference = [] } in
+  let o = run ctx in
   List.iter (fun (k, v, u) -> Printf.printf "# %s = %.17g %s\n" k v u) o.info;
-  let metrics = if trace then o.layers else end_to_end o tally in
+  let metrics =
+    if trace then o.layers
+    else end_to_end o tally ~reference:(Array.of_list (List.rev ctx.Workloads.reference))
+  in
   (tally, metrics)
 
 let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 30. and trace = ref 0 in
+  let reference () =
+    Printf.printf "%.17g\n" (Perfbench.Reference.time ());
+    exit 0
+  in
   Arg.parse
     [
+      ("--reference", Arg.Unit reference, " time the reference computation once and exit");
       ("--workload", Arg.Set_string workload, "NAME optimize_cold | sweep_large | serve_mixed | all");
       ("--seed", Arg.Set_int seed, "N workload seed (default 1)");
       ("--seconds", Arg.Set_float seconds, "S measuring time per workload (default 30)");

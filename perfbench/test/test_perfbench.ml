@@ -1,5 +1,6 @@
 (* Unit tests for the benchmark's own machinery: the open-loop timing rule,
-   the tail-percentile choice, the metric-name charset and error counting. *)
+   the tail-percentile choice, the metric-name charset, error counting and
+   the reference computation. *)
 
 open Perfbench
 
@@ -120,6 +121,12 @@ let test_stream () =
   let share = Serve_stream.repeat_share a ~n:2000 in
   Alcotest.(check bool) "some what-ifs repeat" true (share > 0.05 && share < 0.95)
 
+(* Scaled times from two commits are only comparable while the reference
+   computation stays the same. *)
+let test_reference () =
+  Alcotest.(check (float 0.)) "checksum" 30123. (Reference.kernel ());
+  Alcotest.(check (float 0.)) "the same on every run" 30123. (Reference.kernel ())
+
 let () =
   Alcotest.run "perfbench"
     [
@@ -137,4 +144,5 @@ let () =
           Alcotest.test_case "result line" `Quick test_result_line;
         ] );
       ("serve_stream", [ Alcotest.test_case "seeded stream" `Quick test_stream ]);
+      ("reference", [ Alcotest.test_case "fixed computation" `Quick test_reference ]);
     ]

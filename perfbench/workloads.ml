@@ -20,23 +20,33 @@ module Result = Perfbench.Result
 module Stats = Perfbench.Stats
 
 (* A run is a sequence of windows, each timed on its own, and the
-   end-to-end metrics take the best window (see README.md, "Why the best
-   window").  A work window is one unit of work: one optimize, one full
-   sweep, or one closed-loop cycle of the daemon.  A request window holds
-   request latencies measured from their due times: for the batch
-   workloads the one request is the unit of work itself, for the daemon it
-   is a stretch of the open-loop stream. *)
+   end-to-end metrics are medians over them.  A work window is one unit
+   of work: one optimize, one full sweep, or the three requests of one
+   closed-loop cycle of the daemon.  A request window holds request
+   latencies measured from their due times: for the batch workloads the
+   one request is the unit of work itself, for the daemon it is a stretch
+   of the open-loop stream.  Every time in an outcome is scaled to the
+   reference machine (see README.md, "Why reference-scaled times"). *)
 type outcome = {
   jobs : int;  (** domains the workload prices on *)
   setup : float array;  (** seconds per set-up *)
   work : float array;  (** seconds per untraced work window *)
+  raw_work : float array;  (** the same, not scaled *)
   latency : float array array;  (** seconds per request, per untraced request window *)
   info : (string * float * string) list;
       (** named figures printed in the run's header *)
   layers : Result.metric list;  (** traced mode only *)
 }
 
-type ctx = { seed : int; seconds : float; trace : bool; tally : Result.tally }
+type ctx = {
+  seed : int;
+  seconds : float;
+  trace : bool;
+  tally : Result.tally;
+  mutable reference : float list;
+      (** the reference computation's times, newest first; none in traced
+          mode *)
+}
 
 let now = Unix.gettimeofday
 
@@ -45,11 +55,42 @@ let timed f =
   let r = f () in
   (r, now () -. t0)
 
+(* ---- host speed ------------------------------------------------------ *)
+
+(* A time is scaled by [nominal_s / r], r being the reference time measured
+   next to it: a window's by the mean of the reference times just before
+   and just after it, a set-up batch's by the one just before it.  Traced
+   mode measures no reference and scales nothing. *)
+let measure_reference ctx =
+  if not ctx.trace then begin
+    (* In a child process of its own ([main.exe --reference]), so that the
+       workload's heap and collector state cannot slow the reference down. *)
+    let exe = Sys.executable_name in
+    let ic = Unix.open_process_args_in exe [| exe; "--reference" |] in
+    let line = In_channel.input_line ic in
+    match (Unix.close_process_in ic, Option.bind line float_of_string_opt) with
+    | Unix.WEXITED 0, Some r -> ctx.reference <- r :: ctx.reference
+    | _ -> failwith "perfbench: the reference run failed"
+  end
+
+let scale_of r = Perfbench.Reference.nominal_s /. r
+let current_scale ctx = match ctx.reference with r :: _ -> scale_of r | [] -> 1.
+
+(* [f ()] followed by a reference measurement; returns its result and the
+   scale for the times taken inside it. *)
+let bracketed ctx f =
+  let x = f () in
+  match ctx.reference with
+  | before :: _ ->
+      measure_reference ctx;
+      (x, scale_of ((before +. List.hd ctx.reference) /. 2.))
+  | [] -> (x, 1.)
+
 (* Set-up is timed in batches: one of at least 3 builds spanning at least
    0.5 s before the first window, keeping the last instance, and one of at
    least 1 build spanning at least 0.1 s after every window, keeping none.
-   Spreading the builds over the run lets [setup_s] take the best of them
-   the way the window metrics do. *)
+   Spreading the builds over the run lets the median in [setup_s] see the
+   machine as the windows do. *)
 type 'a setup = {
   build : unit -> 'a;
   discard : 'a -> unit;
@@ -58,48 +99,54 @@ type 'a setup = {
 
 let setup ?(discard = ignore) build = { build; discard; times = [] }
 
-let set_up ?(min_reps = 3) ?(min_s = 0.5) s =
+let set_up ?(min_reps = 3) ?(min_s = 0.5) ctx s =
+  let scale = current_scale ctx in
   let rec go reps spent last =
     let x, dt = timed s.build in
-    s.times <- dt :: s.times;
+    s.times <- (scale *. dt) :: s.times;
     Option.iter s.discard last;
     if reps + 1 < min_reps || spent +. dt < min_s then go (reps + 1) (spent +. dt) (Some x)
     else x
   in
   go 0 0. None
 
-let set_up_again s () = s.discard (set_up ~min_reps:1 ~min_s:0.1 s)
+let set_up_again ctx s () = s.discard (set_up ~min_reps:1 ~min_s:0.1 ctx s)
 let setup_times s = Array.of_list (List.rev s.times)
 
 (* Untraced mode runs at least [min_windows] windows, then more while the
-   next one, taking as long as the last, would end within [budget] seconds;
+   next one, taking as long as the last, would end within [ctx.seconds];
    a set-up batch follows each window.  Traced mode runs one untraced and
    one traced window, so per-layer totals do not depend on how fast the
    machine is; the pair gives the tracing overhead.  Returns each window's
    result and wall seconds, in run order. *)
-let measure ctx ~budget ~min_windows ~totals ~between window =
+let measure ctx ~min_windows ~totals ~between window =
   let timed_window () = timed window in
-  if ctx.trace then begin
-    let plain = timed_window () in
-    let traced = Layers.traced totals timed_window in
-    ([| plain; traced |], 100. *. ((snd traced /. snd plain) -. 1.))
-  end
+  if ctx.trace then [| timed_window (); Layers.traced totals timed_window |]
   else begin
     let t0 = now () and plain = ref [] and last = ref 0. in
-    while List.length !plain < min_windows || now () -. t0 +. !last < budget do
+    while List.length !plain < min_windows || now () -. t0 +. !last < ctx.seconds do
       let w = timed_window () in
       plain := w :: !plain;
       last := snd w;
       between ()
     done;
-    (Array.of_list (List.rev !plain), 0.)
+    Array.of_list (List.rev !plain)
   end
 
-(* A batch workload's windows: each unit of work is also its one
-   request. *)
+(* The traced window's time over the untraced one's, minus one, in percent;
+   0 outside traced mode. *)
+let overhead_pct ctx times =
+  if ctx.trace then 100. *. ((times.(1) /. times.(0)) -. 1.) else 0.
+
+(* A batch workload's raw and scaled window times; each unit of work is
+   also its one request. *)
 let batch ctx ~min_windows ~totals ~between unit_ =
-  let runs, overhead = measure ctx ~budget:ctx.seconds ~min_windows ~totals ~between unit_ in
-  (Array.map snd runs, Array.map (fun (_, dt) -> [| dt |]) runs, overhead)
+  let runs =
+    Array.map fst
+      (measure ctx ~min_windows ~totals ~between (fun () -> bracketed ctx (fun () -> snd (timed unit_))))
+  in
+  let raw = Array.map fst runs in
+  (raw, Array.map (fun (dt, scale) -> dt *. scale) runs, overhead_pct ctx raw)
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 let same_cost (a : Lexico.t) (b : Lexico.t) = bits_equal a.lambda b.lambda && bits_equal a.phi b.phi
@@ -120,17 +167,18 @@ let rand_scenario ~nodes ~degree ~seed =
 
 (* ==== optimize_cold ===================================================== *)
 
-(* [dtr-opt optimize -n 14 -s 2008] at jobs=1 (RandTopo, 70 arcs, 11-arc
+(* [dtr-opt optimize -n 12 -s 2008] at jobs=1 (RandTopo, 60 arcs, 9-arc
    Ec).  The answer is fixed by the instance seed, whatever the workload
    seed: these pins are its exact regular and robust costs. *)
-let optimize_nodes = 14
-let pin_regular = { Lexico.lambda = 0.; phi = 24802.283906248962 }
-let pin_robust_normal = { Lexico.lambda = 0.; phi = 29152.125089228713 }
-let pin_robust_fail = { Lexico.lambda = 1217.0338157023782; phi = 1933489.13728568 }
+let optimize_nodes = 12
+let pin_regular = { Lexico.lambda = 0.; phi = 21157.913433956888 }
+let pin_robust_normal = { Lexico.lambda = 0.; phi = 23223.150086702681 }
+let pin_robust_fail = { Lexico.lambda = 1032.4714278483789; phi = 229586.43561844708 }
 
 let optimize_cold ctx =
   let su = setup (fun () -> rand_scenario ~nodes:optimize_nodes ~degree:5. ~seed:2008) in
-  let scenario = set_up su in
+  measure_reference ctx;
+  let scenario = set_up ctx su in
   let totals = Layers.totals () in
   let last = ref None in
   let unit_ () =
@@ -143,7 +191,7 @@ let optimize_cold ctx =
       && same_cost sol.Optimizer.robust_fail_cost pin_robust_fail);
     last := Some sol
   in
-  let work, latency, overhead = batch ctx ~min_windows:3 ~totals ~between:(set_up_again su) unit_ in
+  let raw_work, work, overhead = batch ctx ~min_windows:3 ~totals ~between:(set_up_again ctx su) unit_ in
   let sol = Option.get !last in
   let layers =
     if not ctx.trace then []
@@ -158,7 +206,8 @@ let optimize_cold ctx =
     jobs = 1;
     setup = setup_times su;
     work;
-    latency;
+    raw_work;
+    latency = Array.map (fun dt -> [| dt |]) work;
     info =
       cost "optimize_regular" sol.Optimizer.regular_cost
       @ cost "optimize_normal" sol.Optimizer.robust_normal_cost
@@ -199,13 +248,14 @@ let sweep_large ctx =
     (scenario, w, Failure.all_single_arcs g, pool)
   in
   let su = setup ~discard:(fun (_, _, _, p) -> Pool.shutdown p) build in
-  let scenario, w, failures, pool = set_up su in
+  measure_reference ctx;
+  let scenario, w, failures, pool = set_up ctx su in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let exec = Exec.of_pool pool in
   let totals = Layers.totals () in
   let results = ref [] in
   let unit_ () = results := Metrics.summarize_failures scenario ~exec w failures :: !results in
-  let work, latency, overhead = batch ctx ~min_windows:3 ~totals ~between:(set_up_again su) unit_ in
+  let raw_work, work, overhead = batch ctx ~min_windows:3 ~totals ~between:(set_up_again ctx su) unit_ in
   (* The bit-identity invariant: every jobs=2 sweep is the same, and its
      failure states price exactly as serially (jobs=1) priced ones do.  The
      serial reference prices every [ref_stride]-th failure, a quarter of a
@@ -245,15 +295,15 @@ let sweep_large ctx =
       Layers.metrics totals ~phase1_s:0. ~phase2_s:0. ~jobs:sweep_jobs
         ~probes:(Layers.run_probes scenario w) ~serve:Layers.no_serve ~overhead_pct:overhead
   in
-  let best = Array.fold_left Float.min Float.infinity work in
   {
     jobs = sweep_jobs;
     setup = setup_times su;
     work;
-    latency;
+    raw_work;
+    latency = Array.map (fun dt -> [| dt |]) work;
     info =
       [
-        ("sweep_failures_per_s", float_of_int (List.length failures) /. best, "1/s");
+        ("sweep_failures_per_s", float_of_int (List.length failures) /. Stats.median work, "1/s");
         ("sweep_avg", first.Metrics.avg, "violations");
         ("sweep_top10", first.Metrics.top10, "violations");
         ("sweep_phi_fail", first.Metrics.phi_total, "cost");
@@ -269,7 +319,7 @@ let sweep_large ctx =
 (* RandTopo 50n, degree 4, seed 2008, holding the committed incumbent and
    critical set (see data/README.md for how they were made). *)
 let data_dir = Filename.concat "perfbench" "data"
-let stream_rate = 100.
+let stream_rate = 200.
 let reopt_budget = {|"max_sweeps": 1, "max_rounds": 1|}
 
 (* Φ of J after the first and after the repeat warm re-optimization of a
@@ -311,10 +361,11 @@ let reply line =
 
 let num key j = Option.bind (Json.member key j) Json.to_float_opt
 
-(* The run gives [stream_share] of its time to the open-loop stream, in
-   request windows of [segment] requests, and the rest to closed-loop
-   cycles, one work window each. *)
-let stream_share = 0.35
+(* A window of the run is [segment] requests of the open-loop stream, a
+   set-up batch, one closed-loop cycle, and [segment] requests more, with
+   a reference measurement after each stretch and each warm
+   re-optimization.  Alternating the stream and the cycles keeps both
+   kinds of sample spread over the whole run. *)
 let segment = 200
 
 let serve_mixed ctx =
@@ -324,9 +375,10 @@ let serve_mixed ctx =
     (scenario, incumbent, new_daemon scenario incumbent)
   in
   let su = setup build in
-  let scenario, incumbent, daemon = set_up su in
+  measure_reference ctx;
+  let scenario, incumbent, daemon = set_up ctx su in
   let g = scenario.Scenario.graph in
-  (* Enough stream for any run: a window takes about two seconds. *)
+  (* Enough stream for any run: a window takes over two seconds. *)
   let count = segment * (4 + int_of_float ctx.seconds) in
   let stream =
     Perfbench.Serve_stream.generate ~seed:ctx.seed ~rate:stream_rate ~count
@@ -348,7 +400,8 @@ let serve_mixed ctx =
     served := first + segment;
     (first, samples, Dtr_obs.Metric.enabled ())
   in
-  (* (b) the closed loop: drift, warm re-optimization, repeat *)
+  (* (b) the closed loop: drift, warm re-optimization, repeat; returns the
+     raw and the scaled time of its three requests *)
   let reopt_times = ref [] and last_phi = ref (nan, nan) in
   let cycle () =
     let d = new_daemon scenario incumbent in
@@ -359,23 +412,38 @@ let serve_mixed ctx =
     let warm id =
       Printf.sprintf {|{"id": %d, "event": "reoptimize", "mode": "warm", %s}|} id reopt_budget
     in
-    let (drift_ok, _), _ = send {|{"id": 1, "event": "tm_update", "model": "gaussian", "eps": 0.1}|} in
-    let (ok1, r1), t1 = send (warm 2) in
-    let (ok2, r2), t2 = send (warm 3) in
-    reopt_times := (t1, t2) :: !reopt_times;
+    let (((drift_ok, _), t0), ((ok1, r1), t1)), k1 =
+      bracketed ctx (fun () ->
+          let drift = send {|{"id": 1, "event": "tm_update", "model": "gaussian", "eps": 0.1}|} in
+          (drift, send (warm 2)))
+    in
+    let ((ok2, r2), t2), k2 = bracketed ctx (fun () -> send (warm 3)) in
+    reopt_times := (k1 *. t1, k2 *. t2) :: !reopt_times;
     let phi r = Option.value (num "phi" r) ~default:nan in
     last_phi := (phi r1, phi r2);
     Result.check ctx.tally "serve_mixed: drift and warm re-optimizations are ok and match the pins"
-      (drift_ok && ok1 && ok2 && bits_equal (phi r1) pin_reopt_phi && bits_equal (phi r2) pin_rewarm_phi)
+      (drift_ok && ok1 && ok2 && bits_equal (phi r1) pin_reopt_phi && bits_equal (phi r2) pin_rewarm_phi);
+    (t0 +. t1 +. t2, (k1 *. (t0 +. t1)) +. (k2 *. t2))
   in
-  let totals = Layers.totals () and between = set_up_again su in
-  let segments, _ =
-    measure ctx ~budget:(stream_share *. ctx.seconds) ~min_windows:3 ~totals ~between run_segment
+  let between = set_up_again ctx su in
+  let scaled k (first, samples, traced) =
+    let scale (s : Perfbench.Open_loop.sample) =
+      { s with latency = k *. s.latency; service = k *. s.service; wait = k *. s.wait }
+    in
+    (first, Array.map scale samples, traced)
   in
-  let cycles, overhead =
-    measure ctx ~budget:((1. -. stream_share) *. ctx.seconds) ~min_windows:2 ~totals ~between cycle
+  let window () =
+    let seg, k1 = bracketed ctx run_segment in
+    between ();
+    let raw, work = cycle () in
+    let seg', k2 = bracketed ctx run_segment in
+    ([ scaled k1 seg; scaled k2 seg' ], raw, work)
   in
-  let segments = Array.to_list (Array.map fst segments) in
+  let totals = Layers.totals () in
+  let windows = Array.map fst (measure ctx ~min_windows:3 ~totals ~between window) in
+  let raw_work = Array.map (fun (_, t, _) -> t) windows in
+  let overhead = overhead_pct ctx raw_work in
+  let segments = List.concat_map (fun (segs, _, _) -> segs) (Array.to_list windows) in
   (* Every reply is ok, and a what-if repeated in one daemon state gets the
      answer it got the first time, whether the LRU held it or not. *)
   let answers = Hashtbl.create 1024 in
@@ -454,7 +522,8 @@ let serve_mixed ctx =
   {
     jobs = 1;
     setup = setup_times su;
-    work = Array.map snd cycles;
+    work = Array.map (fun (_, _, t) -> t) windows;
+    raw_work;
     latency = Array.of_list (List.map (fun (_, samples, _) -> Array.map latency samples) plain);
     info =
       [
