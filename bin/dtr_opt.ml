@@ -156,14 +156,14 @@ let print_prune_breakdown (solution : Optimizer.solution) =
     (if Dtr_core.Prune.enabled () then "on" else "off")
 
 let print_sweep_breakdown () =
-  let { Dtr_core.Eval.Sweep_stats.sweeps; cache_builds; cached_evals; full_evals;
-        seconds } =
-    Dtr_core.Eval.Sweep_stats.snapshot ()
-  in
+  let count name = Dtr_obs.Metric.(Counter.value (Counter.create name)) in
   Format.printf
     "sweep breakdown: %d sweeps, %.2fs wall; %d failure evaluations via the \
      dynamic-SPF cache, %d from scratch; %d cache builds (engine %s)@."
-    sweeps seconds cached_evals full_evals cache_builds
+    (count "eval.sweeps")
+    Dtr_obs.Metric.(Accum.value (Accum.create "eval.sweep.seconds"))
+    (count "eval.sweep.cached_evals") (count "eval.sweep.full_evals")
+    (count "eval.sweep.cache_builds")
     (if Dtr_spf.Spf_delta.enabled () then "on" else "off")
 
 let report_path =
@@ -267,25 +267,28 @@ let build_params theta_ms paper_scale =
   let params = if paper_scale then Scenario.paper_params else Scenario.quick_params in
   { params with Scenario.sla = Dtr_cost.Sla.with_theta (theta_ms /. 1000.) }
 
+(* A malformed or unreadable input file is a usage error reported on
+   stderr, not an uncaught exception. *)
+let load_or_exit f =
+  try f () with Failure msg | Sys_error msg | Invalid_argument msg ->
+    Format.eprintf "dtr-opt: %s@." msg;
+    exit Cmd.Exit.cli_error
+
 (* An instance comes either from files or from the generators. *)
 let build_scenario ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_file
     ~traffic_file =
   let rng = Rng.create seed in
   let graph =
     match topology_file with
-    | Some path -> Dtr_io.Graph_io.load ~path
+    | Some path -> load_or_exit (fun () -> Dtr_io.Graph_io.load ~path)
     | None -> Gen.generate rng topo ~nodes ~degree
   in
   let rd, rt =
     match traffic_file with
-    | Some path -> begin
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            Dtr_io.Matrix_io.pair_of_string
-              (really_input_string ic (in_channel_length ic)))
-      end
+    | Some path ->
+        load_or_exit (fun () ->
+            In_channel.with_open_bin path In_channel.input_all
+            |> Dtr_io.Matrix_io.pair_of_string)
     | None ->
         let rd, rt = Dtr_traffic.Gravity.pair rng ~nodes:(Graph.num_nodes graph) ~total:1000. in
         Dtr_traffic.Scaling.calibrate graph ~rd ~rt
@@ -466,7 +469,7 @@ let run_evaluate topo nodes degree avg_util seed theta_ms topology_file traffic_
       ~traffic_file
   in
   report_instance scenario;
-  let w = Dtr_io.Weights_io.load ~path:weights_file in
+  let w = load_or_exit (fun () -> Dtr_io.Weights_io.load ~path:weights_file) in
   if Dtr_core.Weights.num_arcs w <> Scenario.num_arcs scenario then begin
     Format.eprintf "weight setting has %d arcs but the topology has %d@."
       (Dtr_core.Weights.num_arcs w) (Scenario.num_arcs scenario);

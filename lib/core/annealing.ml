@@ -129,7 +129,7 @@ let minimize ~rng ~eval ~init config =
 (* Annealing revisits weight vectors constantly — rejected perturbations are
    re-drawn from the same state, and the random walk crosses its own path —
    so the incremental engine memoizes the normal-conditions cost in a
-   {!Delta_cache} keyed by the rolling vector hash.  Metropolis needs exact
+   {!Delta_cache} through its search cursor.  Metropolis needs exact
    energies, so only [Full] entries serve (a [Lower] bound cannot price an
    uphill move); the cached value is the bit-identical result of the same
    pure pricing, and no cache decision consumes randomness, so fixed-seed
@@ -139,66 +139,42 @@ let minimize ~rng ~eval ~init config =
    is the rejected re-visit that now prices nothing. *)
 let minimize_incremental ~rng (scenario : Scenario.t) ~init config =
   let e = Eval_incr.create scenario in
-  let cache = Delta_cache.create ~capacity:256 in
-  let cache_find ~hash w =
-    if Prune.enabled () then Delta_cache.find cache ~hash w else None
+  let cursor =
+    Delta_cache.cursor
+      (if Prune.enabled () then Some (Delta_cache.create ~capacity:256) else None)
   in
-  let cache_add ~hash w c =
-    if Prune.enabled () then Delta_cache.add cache ~hash w c
-  in
-  (* Shadow of the committed vector plus its rolling hash; the pending
-     proposal records whether an [Eval_incr] trial was actually staged (a
-     cache hit stages nothing) and keeps the caller's vector so an accepted
-     hit can re-stage at commit time, when the proposal is still applied. *)
-  let base = ref None in
-  let cur_hash = ref 0 in
-  let pend = ref None in
+  let unstaged = ref None in
   let engine =
     Local_search.
       {
         start =
           (fun w ->
             let c = Eval_incr.anchor e w in
-            let h = Delta_cache.hash_of w in
-            base := Some (Weights.copy w);
-            cur_hash := h;
-            pend := None;
-            cache_add ~hash:h w c;
+            Delta_cache.start cursor w;
+            Delta_cache.record cursor w (Delta_cache.Full c);
             Some c);
         try_arc =
           (fun w ~arc ~bound:_ ->
-            let b = match !base with Some b -> b | None -> assert false in
-            let h =
-              Delta_cache.shift !cur_hash ~arc ~old_wd:b.Weights.wd.(arc)
-                ~old_wt:b.Weights.wt.(arc) ~new_wd:w.Weights.wd.(arc)
-                ~new_wt:w.Weights.wt.(arc)
-            in
-            match cache_find ~hash:h w with
+            Delta_cache.stage cursor w ~arc;
+            match Delta_cache.lookup cursor w with
             | Some (Delta_cache.Full c) ->
-                pend := Some (arc, h, w, false);
+                unstaged := Some (w, arc);
                 Cost c
             | Some (Delta_cache.Lower _) | None ->
                 let c = Eval_incr.try_arc e w ~arc in
-                pend := Some (arc, h, w, true);
-                cache_add ~hash:h w c;
+                Delta_cache.record cursor w (Delta_cache.Full c);
                 Cost c);
         commit =
           (fun () ->
-            match (!pend, !base) with
-            | Some (arc, h, w, staged), Some b ->
-                if not staged then ignore (Eval_incr.try_arc e w ~arc);
-                Eval_incr.commit e;
-                b.Weights.wd.(arc) <- w.Weights.wd.(arc);
-                b.Weights.wt.(arc) <- w.Weights.wt.(arc);
-                cur_hash := h;
-                pend := None
-            | _ -> assert false);
+            Option.iter (fun (w, arc) -> ignore (Eval_incr.try_arc e w ~arc)) !unstaged;
+            unstaged := None;
+            Eval_incr.commit e;
+            Delta_cache.commit cursor);
         rollback =
           (fun () ->
-            (match !pend with
-            | Some (_, _, _, true) -> Eval_incr.rollback e
-            | Some (_, _, _, false) | None -> ());
-            pend := None);
+            if Option.is_none !unstaged then Eval_incr.rollback e;
+            unstaged := None;
+            Delta_cache.rollback cursor);
       }
   in
   minimize_engine ~rng ~engine ~init config

@@ -32,13 +32,11 @@ type t = {
 let create ~capacity =
   { lru = Lru.create ~capacity; epoch = 0; hits = 0; lower_hits = 0; misses = 0 }
 
-let epoch t = t.epoch
-
 let bump t = t.epoch <- t.epoch + 1
 
 (* Splitmix-style scramble of one arc's weight pair.  XORing the per-arc
    mixes makes the vector hash rolling: a single-arc change shifts the hash
-   in O(1) ({!shift}), which is what lets the search maintain the trial
+   in O(1) ([shift]), which is what lets the search maintain the trial
    vector's key incrementally instead of rehashing O(arcs) per move.
    Constants stay below 2^62 so the literals fit OCaml's native int. *)
 let mix ~arc ~wd ~wt =
@@ -93,17 +91,59 @@ let store t ~hash (w : Weights.t) value =
       e_value = value;
     }
 
-let add t ~hash w cost = store t ~hash w (Full cost)
-
 (* A fresher abort never downgrades: a [Full] entry for the same vector is
    strictly more informative than any lower bound, so keep it. *)
-let add_lower t ~hash (w : Weights.t) partial =
-  match Lru.find t.lru hash with
-  | Some { e_value = Full _; e_epoch; e_wd; e_wt }
-    when e_epoch = t.epoch && eq_arr w.Weights.wd e_wd && eq_arr w.Weights.wt e_wt
-    ->
-      ()
-  | _ -> store t ~hash w (Lower partial)
+let record_at t ~hash (w : Weights.t) value =
+  match value with
+  | Full _ -> store t ~hash w value
+  | Lower _ -> (
+      match Lru.find t.lru hash with
+      | Some { e_value = Full _; e_epoch; e_wd; e_wt }
+        when e_epoch = t.epoch && eq_arr w.Weights.wd e_wd
+             && eq_arr w.Weights.wt e_wt ->
+          ()
+      | _ -> store t ~hash w value)
+
+(* The search's view of the cache: a shadow of the committed vector and its
+   rolling hash, plus the staged single-arc move (arc, wd, wt, key).
+   Without a cache the cursor keeps no shadow at all. *)
+type cursor = {
+  cache : t option;
+  mutable base : Weights.t option;
+  mutable key : int;
+  mutable staged : (int * int * int * int) option;
+}
+
+let cursor cache = { cache; base = None; key = 0; staged = None }
+
+let start c w =
+  if Option.is_some c.cache then begin
+    c.base <- Some (Weights.copy w);
+    c.key <- hash_of w;
+    c.staged <- None
+  end
+
+let stage c (w : Weights.t) ~arc =
+  Option.iter
+    (fun (b : Weights.t) ->
+      let wd = w.wd.(arc) and wt = w.wt.(arc) in
+      let key = shift c.key ~arc ~old_wd:b.wd.(arc) ~old_wt:b.wt.(arc) ~new_wd:wd ~new_wt:wt in
+      c.staged <- Some (arc, wd, wt, key))
+    c.base
+
+let key c = match c.staged with Some (_, _, _, h) -> h | None -> c.key
+let lookup c w = Option.bind c.cache (fun t -> find t ~hash:(key c) w)
+let record c w value = Option.iter (fun t -> record_at t ~hash:(key c) w value) c.cache
+
+let commit c =
+  match (c.staged, c.base) with
+  | Some (arc, wd, wt, h), Some b ->
+      Weights.set_arc b ~arc ~wd ~wt;
+      c.key <- h;
+      c.staged <- None
+  | _ -> ()
+
+let rollback c = c.staged <- None
 
 type stats = {
   hits : int;

@@ -18,7 +18,7 @@
     entries a re-run would pay every partial sweep again.
 
     The hash is an XOR of per-arc mixes, maintained in O(1) per single-arc
-    move via {!shift}.  Long-lived holders (the serve daemon) call {!bump}
+    move by the search {!cursor}.  Long-lived holders (the serve daemon) call {!bump}
     whenever anything the cost depends on besides the weights changes —
     graph, traffic matrices, failure set — which invalidates every resident
     entry ({e epoch invalidation}); stale entries die lazily under LRU
@@ -37,30 +37,43 @@ type value =
 val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val epoch : t -> int
-
 val bump : t -> unit
 (** Invalidate every resident entry (the scenario or failure set moved). *)
 
-val hash_of : Weights.t -> int
-(** Full rolling hash of a vector — O(arcs), used once per restart. *)
+(** {1 Search cursor}
 
-val shift :
-  int -> arc:int -> old_wd:int -> old_wt:int -> new_wd:int -> new_wt:int -> int
-(** O(1) hash update for a single-arc weight change. *)
+    The searches reach the cache through a cursor: a shadow of the
+    committed weight vector plus its rolling hash, kept in step with the
+    search's single-arc moves so a trial's key costs O(1).  Every
+    {!stage} is followed by exactly one {!commit} or {!rollback}, like the
+    {!Eval_incr} protocol it runs beside. *)
 
-val find : t -> hash:int -> Weights.t -> value option
+type cursor
+
+val cursor : t option -> cursor
+(** A cursor over the cache; with [None] every {!lookup} misses and
+    {!record} stores nothing. *)
+
+val start : cursor -> Weights.t -> unit
+(** Re-key at [w] (O(arcs)), dropping any staged move. *)
+
+val stage : cursor -> Weights.t -> arc:int -> unit
+(** Key [w], which differs from the committed vector only on [arc]. *)
+
+val lookup : cursor -> Weights.t -> value option
 (** Exact: [Some _] only for an entry of the current epoch whose stored
-    vector equals [w].  Counts a (verified) hit or a miss. *)
+    vector equals [w] (the staged vector, else the committed one).  Counts
+    a (verified) hit or a miss. *)
 
-val add : t -> hash:int -> Weights.t -> Dtr_cost.Lexico.t -> unit
-(** Stores a copy of the vector with the current epoch as a {!Full} cost
-    (upgrading any {!Lower} entry for the same vector). *)
+val record : cursor -> Weights.t -> value -> unit
+(** Store a copy of [w] with the current epoch.  A {!Full} cost replaces
+    any entry for the vector; a {!Lower} bound never downgrades a resident
+    {!Full} entry for the same vector. *)
 
-val add_lower : t -> hash:int -> Weights.t -> Dtr_cost.Lexico.t -> unit
-(** Stores the partial cost of an aborted pricing as a {!Lower} entry.
-    Never downgrades: if the same vector is already resident as {!Full},
-    the exact cost is kept. *)
+val commit : cursor -> unit
+(** The staged move becomes the committed vector. *)
+
+val rollback : cursor -> unit
 
 type stats = {
   hits : int;  (** verified {!Full} hits *)

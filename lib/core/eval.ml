@@ -197,46 +197,16 @@ let assess_failure (scenario : Scenario.t) ~buffers ~mask ~base_d ~base_t ~dense
   assess scenario ~routing_d ~routing_t ~exclude_node:(Failure.excluded_node f)
     ~dense_rd ~dense_rt ~sinks ~want_pair_delays:false
 
-(* Aggregate sweep instrumentation for the CLI's --verbose breakdown.  A
-   thin compatibility view over per-domain sharded dtr_obs metrics: each
-   sweeping domain bumps only its own shard, so overlapping sweeps
-   (concurrent callers, nested exec contexts) can never lose updates — the
-   old [Atomic.set (Atomic.get + dt)] pair here dropped wall time whenever
-   two sweeps raced.  These counters stay on unconditionally: they cost one
-   DLS lookup and a few array writes per *sweep*, not per evaluation. *)
-module Sweep_stats = struct
-  module Metric = Dtr_obs.Metric
-
-  type snapshot = {
-    sweeps : int;
-    cache_builds : int;
-    cached_evals : int;
-    full_evals : int;
-    seconds : float;
-  }
-
-  let sweeps = Metric.Counter.create "eval.sweeps"
-  let cache_builds = Metric.Counter.create "eval.sweep.cache_builds"
-  let cached_evals = Metric.Counter.create "eval.sweep.cached_evals"
-  let full_evals = Metric.Counter.create "eval.sweep.full_evals"
-  let seconds = Metric.Accum.create "eval.sweep.seconds"
-
-  let reset () =
-    Metric.Counter.reset sweeps;
-    Metric.Counter.reset cache_builds;
-    Metric.Counter.reset cached_evals;
-    Metric.Counter.reset full_evals;
-    Metric.Accum.reset seconds
-
-  let snapshot () =
-    {
-      sweeps = Metric.Counter.value sweeps;
-      cache_builds = Metric.Counter.value cache_builds;
-      cached_evals = Metric.Counter.value cached_evals;
-      full_evals = Metric.Counter.value full_evals;
-      seconds = Metric.Accum.value seconds;
-    }
-end
+(* Sweep instrumentation, read by the CLI's --verbose breakdown and the
+   observability report.  Per-domain sharded dtr_obs metrics, so
+   overlapping sweeps (concurrent callers, nested exec contexts) can never
+   lose updates.  These counters stay on unconditionally: they cost one DLS
+   lookup and a few array writes per *sweep*, not per evaluation. *)
+let c_sweeps = Dtr_obs.Metric.Counter.create "eval.sweeps"
+let c_cache_builds = Dtr_obs.Metric.Counter.create "eval.sweep.cache_builds"
+let c_cached_evals = Dtr_obs.Metric.Counter.create "eval.sweep.cached_evals"
+let c_full_evals = Dtr_obs.Metric.Counter.create "eval.sweep.full_evals"
+let c_seconds = Dtr_obs.Metric.Accum.create "eval.sweep.seconds"
 
 (* --- Cached failure pricing (the dynamic-SPF sweep engine) --------------
 
@@ -497,16 +467,33 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
     pair_delays = [||];
   }
 
-(* Order-preserving parallel sweep core: failure [i]'s detail lands at index
-   [i] whatever domain computed it, so the result — and any in-order
-   reduction of it — is bit-identical to the serial loop for every job
-   count.  Each domain prices its share with its own cached scratch.  With
-   the dynamic-SPF engine enabled the sweep cache is built once (about the
-   price of one normal assessment) and shared read-only across domains;
-   [DTR_NO_DSPF=1] forces every failure back onto the from-scratch path. *)
-let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ~dense_rd ~dense_rt
-    ~sinks w failures =
+type bounded_sweep =
+  | Swept of Lexico.t
+  | Aborted_at of Lexico.t
+
+(* The sweep core, over the scenario's own matrices: the details of the
+   priced failures in scenario order, and whether [stop] cut the sweep
+   short.  The dynamic-SPF sweep cache (about the price of one normal
+   assessment; [DTR_NO_DSPF=1] disables it) is read by every cacheable
+   failure.
+
+   - Serial: [stop] sees the running compound (from [Lexico.zero]) after
+     each failure.  Per-failure costs are componentwise non-negative, so it
+     is a monotone lower bound of the total and an abort leaves the rest
+     unpriced.  The cache is built lazily on the first cacheable failure,
+     so a sweep that stops first, or never prices a cacheable failure,
+     pays nothing for it.
+   - Parallel: the cache is built up front and shared read-only, each
+     domain prices with its own scratch, and failure [i]'s detail lands at
+     index [i], so any in-order reduction is bit-identical to the serial
+     loop.  [stop] is not consulted: the caller's test on the exact total
+     makes the same accept/reject decision. *)
+let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ?stop w failures =
   let g = scenario.Scenario.graph in
+  let dense_rd = scenario.Scenario.dense_rd
+  and dense_rt = scenario.Scenario.dense_rt
+  and sinks = scenario.Scenario.delay_sinks in
+  let num = Array.length failures in
   let t0 = Unix.gettimeofday () in
   (* Scenario id for the flight recorder: a structural hash is stable within
      a run, so traced sweeps of the same instance correlate. *)
@@ -514,195 +501,92 @@ let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ~dense_rd ~dense_r
     if Dtr_obs.Trace.enabled () then Hashtbl.hash scenario land 0x3FFFFFFF else 0
   in
   if Dtr_obs.Trace.enabled () then
-    Dtr_obs.Trace.emit_sweep_begin ~scenario:trace_id
-      ~failures:(Array.length failures);
-  let use_cache = Spf_delta.enabled () && Array.length failures >= 2 in
-  let cache =
-    if use_cache then
-      Some (build_sweep_cache scenario ~base_d ~base_t ~dense_rd ~dense_rt ~sinks)
-    else None
+    Dtr_obs.Trace.emit_sweep_begin ~scenario:trace_id ~failures:num;
+  let use_cache = Spf_delta.enabled () && num >= 2 in
+  let cacheable f = use_cache && Failure.excluded_node f = None in
+  let cache = ref None in
+  let get_cache () =
+    match !cache with
+    | Some c -> c
+    | None ->
+        let c = build_sweep_cache scenario ~base_d ~base_t ~dense_rd ~dense_rt ~sinks in
+        cache := Some c;
+        Dtr_obs.Metric.Counter.incr c_cache_builds;
+        c
   in
   let price ~scratch f =
-    match cache with
-    | Some cache when Failure.excluded_node f = None ->
-        assess_failure_cached scenario ~cache ~scratch ~base_d ~base_t ~dense_rd
-          ~dense_rt ~sinks w f
-    | _ ->
-        assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask ~base_d
-          ~base_t ~dense_rd ~dense_rt ~sinks w f
+    if cacheable f then
+      assess_failure_cached scenario ~cache:(get_cache ()) ~scratch ~base_d ~base_t
+        ~dense_rd ~dense_rt ~sinks w f
+    else
+      assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask ~base_d
+        ~base_t ~dense_rd ~dense_rt ~sinks w f
   in
-  let details =
+  let details, stopped =
     match Exec.jobs exec with
     | 1 ->
         let scratch = make_sweep_scratch g in
-        Array.map (fun f -> price ~scratch f) failures
+        let priced = ref [] and acc = ref Lexico.zero in
+        let stopped = ref false and i = ref 0 in
+        while (not !stopped) && !i < num do
+          let d = price ~scratch failures.(!i) in
+          priced := d :: !priced;
+          acc := Lexico.add !acc d.cost;
+          (match stop with Some s -> stopped := s !acc | None -> ());
+          incr i
+        done;
+        (Array.of_list (List.rev !priced), !stopped)
     | _ ->
-        Exec.map exec ~n:(Array.length failures) ~f:(fun i ->
-            price ~scratch:(sweep_scratch_for g) failures.(i))
+        if use_cache then ignore (get_cache () : sweep_cache);
+        ( Exec.map exec ~n:num ~f:(fun i ->
+              price ~scratch:(sweep_scratch_for g) failures.(i)),
+          false )
   in
-  Dtr_obs.Metric.Counter.incr Sweep_stats.sweeps;
-  (if use_cache then begin
-     Dtr_obs.Metric.Counter.incr Sweep_stats.cache_builds;
-     let cached =
-       Array.fold_left
-         (fun acc f -> if Failure.excluded_node f = None then acc + 1 else acc)
-         0 failures
-     in
-     Dtr_obs.Metric.Counter.add Sweep_stats.cached_evals cached;
-     Dtr_obs.Metric.Counter.add Sweep_stats.full_evals
-       (Array.length failures - cached)
-   end
-   else
-     Dtr_obs.Metric.Counter.add Sweep_stats.full_evals (Array.length failures));
-  Dtr_obs.Metric.Accum.add Sweep_stats.seconds (Unix.gettimeofday () -. t0);
+  let cached = ref 0 in
+  Array.iteri (fun i _ -> if cacheable failures.(i) then incr cached) details;
+  Dtr_obs.Metric.Counter.incr c_sweeps;
+  Dtr_obs.Metric.Counter.add c_cached_evals !cached;
+  Dtr_obs.Metric.Counter.add c_full_evals (Array.length details - !cached);
+  Dtr_obs.Metric.Accum.add c_seconds (Unix.gettimeofday () -. t0);
   if Dtr_obs.Trace.enabled () then
-    Dtr_obs.Trace.emit_sweep_end ~scenario:trace_id
-      ~failures:(Array.length failures);
-  details
+    Dtr_obs.Trace.emit_sweep_end ~scenario:trace_id ~failures:num;
+  (details, stopped)
 
 (* Failure sweeps compute the no-failure routing once and re-route only the
-   destinations whose ECMP DAG lost an arc (see Routing.with_failed_arcs);
-   serial sweeps share one buffer set across every per-failure
-   recomputation, parallel sweeps give each domain its own. *)
-let sweep_details (scenario : Scenario.t) ?exec ?rd ?rt w failures =
-  let exec = resolve_exec exec in
+   destinations whose ECMP DAG lost an arc (see Routing.with_failed_arcs). *)
+let sweep_details (scenario : Scenario.t) ?exec w failures =
   let g = scenario.Scenario.graph in
-  let rd = match rd with Some m -> m | None -> scenario.Scenario.rd in
-  let rt = match rt with Some m -> m | None -> scenario.Scenario.rt in
-  let dense_rd, dense_rt, sinks = dense_inputs scenario ~rd ~rt in
   let buffers = Routing.make_buffers g in
   let base_d = Routing.compute g ~weights:(Weights.delay_of w) ~buffers () in
   let base_t = Routing.compute g ~weights:(Weights.throughput_of w) ~buffers () in
   Array.to_list
-    (sweep_array scenario ~exec ~base_d ~base_t ~dense_rd ~dense_rt ~sinks w
-       (Array.of_list failures))
+    (fst
+       (sweep_array scenario ~exec:(resolve_exec exec) ~base_d ~base_t w
+          (Array.of_list failures)))
 
 let sweep scenario ?exec w failures =
   Array.of_list (List.map (fun d -> d.cost) (sweep_details scenario ?exec w failures))
 
-(* Compound failure cost starting from already-computed no-failure routing
-   bases — shared by [normal_and_sweep] and the Phase-2 incremental path,
-   where the bases come out of the evaluation engine's cache.  The reduce
-   folds per-failure costs in scenario order, so the sum is bit-identical
-   for every job count. *)
-let compound_sweep_from (scenario : Scenario.t) ?exec ~routing_d ~routing_t w
-    ~failures =
-  let exec = resolve_exec exec in
-  let dense_rd = scenario.Scenario.dense_rd
-  and dense_rt = scenario.Scenario.dense_rt
-  and sinks = scenario.Scenario.delay_sinks in
-  let details =
-    sweep_array scenario ~exec ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt
-      ~sinks w (Array.of_list failures)
+(* Compound failure cost from already-computed no-failure bases (the
+   scenario's own matrices).  The per-failure sum folds from [Lexico.zero]
+   in scenario order and [init] is added {e outside} the fold: float
+   addition is not associative, so folding from [init] directly would
+   change the bits.  On abort the partial itself is returned — a certified
+   componentwise lower bound on the full compound, which the delta cache
+   stores so a repeat probe of the same vector is rejected without
+   re-pricing. *)
+let compound_sweep_bounded (scenario : Scenario.t) ?exec ~routing_d ~routing_t ?init
+    ?prune w ~failures =
+  let with_init acc = match init with Some i -> Lexico.add i acc | None -> acc in
+  let details, stopped =
+    sweep_array scenario ~exec:(resolve_exec exec) ~base_d:routing_d ~base_t:routing_t
+      ?stop:(Option.map (fun prune acc -> prune (with_init acc)) prune)
+      w (Array.of_list failures)
   in
-  Array.fold_left (fun acc d -> Lexico.add acc d.cost) Lexico.zero details
-
-type bounded_sweep =
-  | Swept of Lexico.t
-  | Aborted_at of Lexico.t
-
-(* Bounded compound sweep: failures are priced lazily in scenario order and
-   the sweep is abandoned as soon as the monotone partial [init + sum so
-   far] satisfies [prune] — per-failure costs are componentwise
-   non-negative, so the partial only grows towards the final compound.  The
-   per-failure sum accumulates from [Lexico.zero] and [init] is added {e
-   outside} the fold, exactly as the unbounded callers compute
-   [add init (compound_sweep_from ...)]: float addition is not associative,
-   so folding from [init] directly would break bit-identity.  On abort the
-   partial itself is returned — it is a certified componentwise lower bound
-   on the full compound, which the delta cache stores so a repeat probe of
-   the same vector can be rejected without re-pricing.  At jobs > 1 the
-   sweep prices everything in parallel and tests the exact total — the
-   accept/reject decision is identical, just without the serial saving. *)
-let compound_sweep_bounded (scenario : Scenario.t) ?exec ~routing_d ~routing_t
-    ?(init = Lexico.zero) ~prune w ~failures =
-  let exec = resolve_exec exec in
-  match Exec.jobs exec with
-  | 1 ->
-      let g = scenario.Scenario.graph in
-      let dense_rd = scenario.Scenario.dense_rd
-      and dense_rt = scenario.Scenario.dense_rt
-      and sinks = scenario.Scenario.delay_sinks in
-      let failures = Array.of_list failures in
-      let num = Array.length failures in
-      let t0 = Unix.gettimeofday () in
-      let trace_id =
-        if Dtr_obs.Trace.enabled () then Hashtbl.hash scenario land 0x3FFFFFFF
-        else 0
-      in
-      if Dtr_obs.Trace.enabled () then
-        Dtr_obs.Trace.emit_sweep_begin ~scenario:trace_id ~failures:num;
-      let use_cache = Spf_delta.enabled () && num >= 2 in
-      (* The sweep cache costs about one full assessment to build, so it is
-         built lazily on the first cache-eligible pricing: a probe that the
-         bound rejects on its first (or only) full-priced failure — or that
-         never prices a cacheable failure at all — pays nothing for it. *)
-      let cache = ref None in
-      let get_cache () =
-        match !cache with
-        | Some c -> c
-        | None ->
-            let c =
-              build_sweep_cache scenario ~base_d:routing_d ~base_t:routing_t
-                ~dense_rd ~dense_rt ~sinks
-            in
-            cache := Some c;
-            Dtr_obs.Metric.Counter.incr Sweep_stats.cache_builds;
-            c
-      in
-      let scratch = make_sweep_scratch g in
-      let cached_prices = ref 0 and full_prices = ref 0 in
-      let price f =
-        if use_cache && Failure.excluded_node f = None then begin
-          incr cached_prices;
-          assess_failure_cached scenario ~cache:(get_cache ()) ~scratch
-            ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt ~sinks w f
-        end
-        else begin
-          incr full_prices;
-          assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask
-            ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt ~sinks w f
-        end
-      in
-      let acc = ref Lexico.zero in
-      let i = ref 0 in
-      let aborted = ref false in
-      while (not !aborted) && !i < num do
-        acc := Lexico.add !acc (price failures.(!i)).cost;
-        if prune (Lexico.add init !acc) then aborted := true;
-        incr i
-      done;
-      Dtr_obs.Metric.Counter.incr Sweep_stats.sweeps;
-      Dtr_obs.Metric.Counter.add Sweep_stats.cached_evals !cached_prices;
-      Dtr_obs.Metric.Counter.add Sweep_stats.full_evals !full_prices;
-      Dtr_obs.Metric.Accum.add Sweep_stats.seconds (Unix.gettimeofday () -. t0);
-      if Dtr_obs.Trace.enabled () then
-        Dtr_obs.Trace.emit_sweep_end ~scenario:trace_id ~failures:num;
-      if !aborted then Aborted_at (Lexico.add init !acc)
-      else Swept (Lexico.add init !acc)
-  | _ ->
-      let total = compound_sweep_from scenario ~exec ~routing_d ~routing_t w ~failures in
-      Swept (Lexico.add init total)
-
-let normal_and_sweep (scenario : Scenario.t) ?exec w ~failures ~feasible =
-  let exec = resolve_exec exec in
-  let g = scenario.Scenario.graph in
-  let dense_rd = scenario.Scenario.dense_rd
-  and dense_rt = scenario.Scenario.dense_rt
-  and sinks = scenario.Scenario.delay_sinks in
-  let buffers = Routing.make_buffers g in
-  let base_d = Routing.compute g ~weights:(Weights.delay_of w) ~buffers () in
-  let base_t = Routing.compute g ~weights:(Weights.throughput_of w) ~buffers () in
-  let normal =
-    assess scenario ~routing_d:base_d ~routing_t:base_t ~exclude_node:None ~dense_rd
-      ~dense_rt ~sinks ~want_pair_delays:false
+  let total =
+    with_init (Array.fold_left (fun acc d -> Lexico.add acc d.cost) Lexico.zero details)
   in
-  if not (feasible normal.cost) then (normal.cost, None)
-  else
-    ( normal.cost,
-      Some
-        (compound_sweep_from scenario ~exec ~routing_d:base_d ~routing_t:base_t w
-           ~failures) )
+  if stopped then Aborted_at total else Swept total
 
 (* What-if pricing from resident bases: the daemon holds its incumbent's
    no-failure routing states alive across events, so a query needs no SPF at

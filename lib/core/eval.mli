@@ -62,41 +62,8 @@ val sweep :
     {e bit-identical} to the serial path for any job count. *)
 
 val sweep_details :
-  Scenario.t ->
-  ?exec:Dtr_exec.Exec.t ->
-  ?rd:Dtr_traffic.Matrix.t ->
-  ?rt:Dtr_traffic.Matrix.t ->
-  Weights.t ->
-  Failure.t list ->
-  detail list
+  Scenario.t -> ?exec:Dtr_exec.Exec.t -> Weights.t -> Failure.t list -> detail list
 (** Full per-scenario details of a sweep (without pair delays). *)
-
-val normal_and_sweep :
-  Scenario.t ->
-  ?exec:Dtr_exec.Exec.t ->
-  Weights.t ->
-  failures:Failure.t list ->
-  feasible:(Lexico.t -> bool) ->
-  Lexico.t * Lexico.t option
-(** Phase-2 fast path: computes the normal cost, applies the caller's
-    feasibility test (Eqs. (5)–(6)), and — only if feasible — compounds the
-    failure sweep, reusing the normal routing state for both steps.
-    Returns [(normal cost, compounded failure cost if feasible)]. *)
-
-val compound_sweep_from :
-  Scenario.t ->
-  ?exec:Dtr_exec.Exec.t ->
-  routing_d:Dtr_spf.Routing.t ->
-  routing_t:Dtr_spf.Routing.t ->
-  Weights.t ->
-  failures:Failure.t list ->
-  Lexico.t
-(** Compounded failure-sweep cost of [w] starting from already-computed
-    no-failure routing bases for both classes (the scenario's own traffic
-    matrices).  {!normal_and_sweep} is this plus the normal assessment; the
-    Phase-2 incremental path calls it directly with the evaluation engine's
-    cached bases, so a single-arc move never recomputes the no-failure
-    routing from scratch. *)
 
 type bounded_sweep =
   | Swept of Lexico.t  (** the exact compound, all failures priced *)
@@ -110,25 +77,20 @@ val compound_sweep_bounded :
   routing_d:Dtr_spf.Routing.t ->
   routing_t:Dtr_spf.Routing.t ->
   ?init:Lexico.t ->
-  prune:(Lexico.t -> bool) ->
+  ?prune:(Lexico.t -> bool) ->
   Weights.t ->
   failures:Failure.t list ->
   bounded_sweep
-(** [Swept (add init (compound_sweep_from ...))] — bitwise, including the
-    summation order — unless some scenario-order partial [add init
-    (sum of the first k failure costs)] satisfies [prune], in which case
-    the remaining failures are never priced and the result is
-    [Aborted_at partial].  Per-failure costs are componentwise
-    non-negative, so partials are monotone lower bounds of the final
-    compound and a [prune] built from {!Dtr_cost.Lexico.prunes} makes the
-    abort exact: an abort certifies the caller would have rejected the
-    candidate, and the returned partial may be cached
-    ({!Delta_cache.add_lower}) to reject repeat probes of the same vector
-    without pricing anything.  [init] defaults to {!Lexico.zero} (Phase 2's
-    pure [Kfail] objective); the warm-start path passes the normal cost so
-    the partial bounds [J = normal + Kfail].
-    Serial execution aborts mid-sweep; at jobs > 1 the full parallel sweep
-    runs and only the final total is tested. *)
+(** [Swept (add init (compound (sweep ...)))], bitwise (without [init],
+    the compound alone), priced from already-computed no-failure bases —
+    the move engine ({!Pricer}) passes {!Eval_incr}'s cached ones.  If some
+    scenario-order partial [add init (sum of the first k failure costs)]
+    satisfies [prune], the rest is never priced and the result is
+    [Aborted_at partial]: per-failure costs are componentwise non-negative,
+    so the partial is a certified lower bound, and a [prune] built from
+    {!Dtr_cost.Lexico.prunes} makes the abort exact.  Serial execution
+    aborts mid-sweep; at jobs > 1 everything is priced and the result is
+    always [Swept]. *)
 
 val evaluate_from :
   Scenario.t ->
@@ -149,31 +111,6 @@ val evaluate_from :
 val compound : Lexico.t array -> Lexico.t
 (** Componentwise sum over scenarios — [Kfail] of Eq. (4) (or its
     critical-set restriction, Eq. (7)). *)
-
-(** Aggregate instrumentation over every sweep run since the last {!reset}:
-    how many sweeps ran, how many failure states were priced through the
-    dynamic-SPF sweep cache vs. the from-scratch path, and the total wall
-    time spent inside sweeps.  Feeds the CLI's [--verbose] timing
-    breakdown.
-
-    A thin compatibility view over per-domain sharded [Dtr_obs.Metric]
-    counters ([eval.sweeps], [eval.sweep.cache_builds],
-    [eval.sweep.cached_evals], [eval.sweep.full_evals],
-    [eval.sweep.seconds]): totals stay exact even when sweeps overlap
-    across domains.  {!reset} and {!snapshot} are meant for quiescent
-    points, as before. *)
-module Sweep_stats : sig
-  type snapshot = {
-    sweeps : int;  (** sweep calls (any entry point) *)
-    cache_builds : int;  (** sweeps that built a dynamic-SPF cache *)
-    cached_evals : int;  (** failure states priced from the cache *)
-    full_evals : int;  (** failure states priced from scratch *)
-    seconds : float;  (** wall time inside sweeps *)
-  }
-
-  val reset : unit -> unit
-  val snapshot : unit -> snapshot
-end
 
 (**/**)
 

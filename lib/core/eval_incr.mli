@@ -14,7 +14,7 @@
     patched loads.
 
     The same caching pattern is reused {e across failure states}: a failure
-    sweep ({!Eval.sweep_details}, {!Eval.compound_sweep_from}) builds the
+    sweep ({!Eval.sweep_details}, {!Eval.compound_sweep_bounded}) builds the
     per-destination contribution rows and SLA subtotals once from the
     no-failure base and re-prices each single-arc failure by repairing the
     routing with {!Dtr_spf.Spf_delta} and re-summing only the destinations
@@ -83,6 +83,6 @@ val throughput_loads : t -> float array
 
 val current_routing : t -> Dtr_spf.Routing.t * Dtr_spf.Routing.t
 (** Current no-failure routing bases [(delay class, throughput class)] —
-    the pending trial's if staged.  Phase 2 feeds these to
-    {!Eval.compound_sweep_from} so a failure sweep after a single-arc move
-    starts from the cached bases instead of recomputing them. *)
+    the pending trial's if staged.  The move engine ({!Pricer}) feeds these
+    to {!Eval.compound_sweep_bounded} so a failure sweep after a single-arc
+    move starts from the cached bases instead of recomputing them. *)

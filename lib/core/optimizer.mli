@@ -61,15 +61,12 @@ val optimize :
   ?selector:selector ->
   ?failure_model:failure_model ->
   ?fraction:float ->
-  ?incremental:bool ->
   ?exec:Dtr_exec.Exec.t ->
   ?fast:bool ->
   Scenario.t ->
   solution
 (** Defaults: [selector = Ours], [failure_model = Link_failures], [fraction]
-    = the scenario's [critical_fraction], [incremental = true] (price
-    single-arc moves with the {!Eval_incr} engine — bit-identical results,
-    see {!Phase1.run}/{!Phase2.run}), [exec = Dtr_exec.Exec.default ()]
+    = the scenario's [critical_fraction], [exec = Dtr_exec.Exec.default ()]
     (serial unless [DTR_JOBS] is set).  [fraction] overrides the target
     [|Ec| / |E|] for this call.  The execution context parallelises the
     failure-sweep fan-outs of both phases; for a given RNG seed the solution
@@ -80,7 +77,6 @@ val optimize :
 
 val regular_only :
   rng:Dtr_util.Rng.t ->
-  ?incremental:bool ->
   ?exec:Dtr_exec.Exec.t ->
   Scenario.t ->
   Phase1.output * float
@@ -133,16 +129,15 @@ val warm_start :
     "repair until recovered" mode.  Deterministic for a given RNG state at
     any job count.
 
-    Pricing prunes exactly against the search incumbent (early-abort in the
-    incremental pricer when [failures = []], {!Eval.compound_sweep_bounded}
-    seeded with the normal cost otherwise); gated by {!Prune}.  [cache], if
-    given, memoizes J across calls — the daemon holds one per scenario
-    epoch and must {!Delta_cache.bump} it whenever the traffic matrices,
-    graph, or failure set change. *)
+    Moves are priced by the {!Pricer} engine, which prunes exactly against
+    the search incumbent (early-abort in the incremental pricer, then
+    {!Eval.compound_sweep_bounded} seeded with the normal cost); gated by
+    {!Prune}.  [cache], if given, memoizes J across calls — the daemon
+    holds one per scenario epoch and must {!Delta_cache.bump} it whenever
+    the traffic matrices, graph, or failure set change. *)
 
 val robust_with :
   rng:Dtr_util.Rng.t ->
-  ?incremental:bool ->
   ?exec:Dtr_exec.Exec.t ->
   Scenario.t ->
   phase1:Phase1.output ->

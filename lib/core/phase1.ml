@@ -73,7 +73,7 @@ let probe_scratch_for scenario best =
       cache := (scenario, s) :: List.filter (fun (sc, _) -> sc != scenario) !cache;
       s
 
-let run_impl ~rng ~incremental ?exec (scenario : Scenario.t) =
+let run_impl ~rng ?exec (scenario : Scenario.t) =
   let exec = match exec with Some e -> e | None -> Exec.default () in
   let p = scenario.Scenario.params in
   let num_arcs = Scenario.num_arcs scenario in
@@ -102,47 +102,43 @@ let run_impl ~rng ~incremental ?exec (scenario : Scenario.t) =
       converged := Criticality.Convergence.check ~exec tracker sampler
     end
   in
-  (* One engine serves both the Phase-1a search and the Phase-1b sampling
-     loop; the incremental engine produces the exact same cost sequence as
-     the full evaluation, so both paths follow the same trajectory. *)
-  let incr_eval = if incremental then Some (Eval_incr.create scenario) else None in
+  (* One incremental engine serves both the Phase-1a search and the
+     Phase-1b sampling loop. *)
+  let e = Eval_incr.create scenario in
   let engine =
-    match incr_eval with
-    | Some e ->
-        Local_search.
-          {
-            start = (fun w -> Some (Eval_incr.anchor e w));
-            try_arc =
-              (fun w ~arc ~bound ->
-                (* Failure-like trials may be harvested by the observer as
-                   exact post-failure cost samples, so they are always
-                   priced in full.  Anything else can be abandoned once its
-                   partial cost proves it beats neither the round's
-                   incumbent nor the global best — the observer feeds every
-                   priced cost to [note_best], so the certificate must cover
-                   both incumbents (the two prunes conjoin; [Lexico.compare]
-                   is not transitive across the tolerance band, so their
-                   bounds must not be merged into one). *)
-                match bound with
-                | Some cur
-                  when Prune.enabled ()
-                       && not (Sampler.is_failure_like sampler w ~arc) -> (
-                    let prune =
-                      match !best_so_far with
-                      | Some best ->
-                          fun partial ->
-                            Lexico.prunes partial ~than:cur
-                            && Lexico.prunes partial ~than:best
-                      | None -> fun partial -> Lexico.prunes partial ~than:cur
-                    in
-                    match Eval_incr.try_arc_bounded e ~prune w ~arc with
-                    | Some c -> Cost c
-                    | None -> Pruned)
-                | _ -> Cost (Eval_incr.try_arc e w ~arc));
-            commit = (fun () -> Eval_incr.commit e);
-            rollback = (fun () -> Eval_incr.rollback e);
-          }
-    | None -> Local_search.eval_engine (fun w -> Some (Eval.cost scenario w))
+    Local_search.
+      {
+        start = (fun w -> Some (Eval_incr.anchor e w));
+        try_arc =
+          (fun w ~arc ~bound ->
+            (* Failure-like trials may be harvested by the observer as exact
+               post-failure cost samples, so they are always priced in full.
+               Anything else can be abandoned once its partial cost proves it
+               beats neither the round's incumbent nor the global best — the
+               observer feeds every priced cost to [note_best], so the
+               certificate must cover both incumbents (the two prunes
+               conjoin; [Lexico.compare] is not transitive across the
+               tolerance band, so their bounds must not be merged into
+               one). *)
+            match bound with
+            | Some cur
+              when Prune.enabled () && not (Sampler.is_failure_like sampler w ~arc)
+              -> (
+                let prune =
+                  match !best_so_far with
+                  | Some best ->
+                      fun partial ->
+                        Lexico.prunes partial ~than:cur
+                        && Lexico.prunes partial ~than:best
+                  | None -> fun partial -> Lexico.prunes partial ~than:cur
+                in
+                match Eval_incr.try_arc_bounded e ~prune w ~arc with
+                | Some c -> Cost c
+                | None -> Pruned)
+            | _ -> Cost (Eval_incr.try_arc e w ~arc));
+        commit = (fun () -> Eval_incr.commit e);
+        rollback = (fun () -> Eval_incr.rollback e);
+      }
   in
   let config =
     Local_search.
@@ -176,37 +172,19 @@ let run_impl ~rng ~incremental ?exec (scenario : Scenario.t) =
   let needs_more () =
     (not !converged) || Sampler.min_count sampler < p.Scenario.min_samples
   in
-  (match incr_eval with
-  | Some e -> ignore (Eval_incr.anchor e best : Lexico.t)
-  | None -> ());
-  let probe_cost w ~arc =
-    match incr_eval with
-    | Some e ->
-        let cost = Eval_incr.try_arc e w ~arc in
-        Eval_incr.rollback e;
-        cost
-    | None -> Eval.cost scenario w
-  in
+  ignore (Eval_incr.anchor e best : Lexico.t);
   (* One parallel probe: price [best] with [arc] raised to the pre-drawn
-     weights, on this domain's own engine (or by full evaluation when the
-     caller opted out of the incremental path).  Both paths are
-     bit-identical to the serial probe — the engine contract guarantees
-     try_arc equals the full evaluation of the same setting. *)
+     weights, on this domain's own engine — bit-identical to the serial
+     probe, since every engine anchored at [best] prices the same move the
+     same way. *)
   let probe_parallel ~arc ~wd ~wt =
-    if incremental then begin
-      let s = probe_scratch_for scenario best in
-      let saved = Weights.save_arc s.w arc in
-      Weights.set_arc s.w ~arc ~wd ~wt;
-      let cost = Eval_incr.try_arc s.engine s.w ~arc in
-      Eval_incr.rollback s.engine;
-      Weights.restore_arc s.w saved;
-      cost
-    end
-    else begin
-      let w = Weights.copy best in
-      Weights.set_arc w ~arc ~wd ~wt;
-      Eval.cost scenario w
-    end
+    let s = probe_scratch_for scenario best in
+    let saved = Weights.save_arc s.w arc in
+    Weights.set_arc s.w ~arc ~wd ~wt;
+    let cost = Eval_incr.try_arc s.engine s.w ~arc in
+    Eval_incr.rollback s.engine;
+    Weights.restore_arc s.w saved;
+    cost
   in
   (Span.with_ ~name:"phase1b" @@ fun () ->
    if Trace.enabled () then Trace.emit_phase ~name:"phase1b";
@@ -218,7 +196,8 @@ let run_impl ~rng ~incremental ?exec (scenario : Scenario.t) =
       for arc = 0 to num_arcs - 1 do
         let saved = Weights.save_arc w arc in
         Weights.raise_arc rng w ~arc ~wmax:p.Scenario.wmax ~q:p.Scenario.q;
-        let cost = probe_cost w ~arc in
+        let cost = Eval_incr.try_arc e w ~arc in
+        Eval_incr.rollback e;
         incr extra_evals;
         Sampler.record sampler ~arc cost;
         Weights.restore_arc w saved
@@ -295,10 +274,10 @@ let run_impl ~rng ~incremental ?exec (scenario : Scenario.t) =
       };
   }
 
-let run ~rng ?(incremental = true) ?exec scenario =
+let run ~rng ?exec scenario =
   Span.with_ ~name:"phase1" (fun () ->
       if Trace.enabled () then Trace.emit_phase ~name:"phase1";
-      run_impl ~rng ~incremental ?exec scenario)
+      run_impl ~rng ?exec scenario)
 
 let critical_set (scenario : Scenario.t) output =
   let p = scenario.Scenario.params in

@@ -26,145 +26,26 @@ let c_evals = Metric.Counter.create "phase2.evals"
 let c_sweeps = Metric.Counter.create "phase2.sweeps"
 let c_rounds = Metric.Counter.create "phase2.rounds"
 
-let run ~rng ?(incremental = true) ?exec ?(fast = false) (scenario : Scenario.t)
-    ~(phase1 : Phase1.output) ~failures =
+let run ~rng ?exec ?(fast = false) (scenario : Scenario.t) ~(phase1 : Phase1.output)
+    ~failures =
   Span.with_ ~name:"phase2" @@ fun () ->
   if Trace.enabled () then Trace.emit_phase ~name:"phase2";
   if failures = [] then invalid_arg "Phase2.run: no failure scenarios";
-  let exec = match exec with Some e -> e | None -> Dtr_exec.Exec.default () in
   let p = scenario.Scenario.params in
   let num_arcs = Scenario.num_arcs scenario in
   let best_cost = phase1.Phase1.best_cost in
   let starts = Array.of_list phase1.Phase1.acceptable in
   if Array.length starts = 0 then invalid_arg "Phase2.run: no acceptable starting setting";
+  (* Each Phase-2 evaluation prices the setting under every scenario of the
+     optimized failure set; infeasibility w.r.t. Eqs. (5)-(6) short-circuits
+     before the expensive sweep. *)
   let feasible normal =
     normal.Lexico.lambda <= best_cost.Lexico.lambda +. Lexico.lambda_tolerance
     && normal.Lexico.phi <= (1. +. p.Scenario.chi) *. best_cost.Lexico.phi
   in
-  (* Each Phase-2 evaluation prices the setting under every scenario of the
-     optimized failure set; infeasibility w.r.t. Eqs. (5)-(6) short-circuits
-     before the expensive sweep.  The incremental engine additionally prices
-     the normal-conditions gate with a single-arc patch and starts every
-     per-failure [with_failed_arcs] from its cached no-failure bases, so a
-     move never recomputes the normal routing from scratch. *)
   let cache = Delta_cache.create ~capacity:128 in
   let engine =
-    if incremental then begin
-      let e = Eval_incr.create scenario in
-      (* Shadow of the committed weight vector plus its rolling hash for the
-         delta cache; the pending trial's replacement weights and hash are
-         recorded at try time because commit receives no vector. *)
-      let base = ref None in
-      let cur_hash = ref 0 in
-      let pend = ref None in
-      let sweep w =
-        let routing_d, routing_t = Eval_incr.current_routing e in
-        Eval.compound_sweep_from scenario ~exec ~routing_d ~routing_t w ~failures
-      in
-      let sweep_bounded w ~than =
-        let routing_d, routing_t = Eval_incr.current_routing e in
-        Eval.compound_sweep_bounded scenario ~exec ~routing_d ~routing_t
-          ~prune:(fun partial -> Lexico.prunes partial ~than)
-          w ~failures
-      in
-      let cache_find ~hash w =
-        if Prune.enabled () then Delta_cache.find cache ~hash w else None
-      in
-      let cache_add ~hash w c =
-        if Prune.enabled () then Delta_cache.add cache ~hash w c
-      in
-      let cache_add_lower ~hash w partial =
-        if Prune.enabled () then Delta_cache.add_lower cache ~hash w partial
-      in
-      Local_search.
-        {
-          start =
-            (fun w ->
-              let normal = Eval_incr.anchor e w in
-              if not (feasible normal) then None
-              else begin
-                let h = Delta_cache.hash_of w in
-                base := Some (Weights.copy w);
-                cur_hash := h;
-                pend := None;
-                match cache_find ~hash:h w with
-                | Some (Delta_cache.Full c) -> Some c
-                | Some (Delta_cache.Lower _) | None ->
-                    let c = sweep w in
-                    cache_add ~hash:h w c;
-                    Some c
-              end);
-          try_arc =
-            (fun w ~arc ~bound ->
-              (* The Eqs. (5)-(6) gate is itself boundable: the incremental
-                 pricer's partial is a monotone lower bound of the normal
-                 cost, so the moment it exceeds either threshold the trial
-                 is certifiably infeasible — the predicate below is the
-                 exact complement of [feasible], so even the infeasible
-                 counters match a run with pruning off. *)
-              let staged =
-                if Prune.enabled () then
-                  Eval_incr.try_arc_bounded e
-                    ~prune:(fun partial ->
-                      partial.Lexico.lambda
-                      > best_cost.Lexico.lambda +. Lexico.lambda_tolerance
-                      || partial.Lexico.phi
-                         > (1. +. p.Scenario.chi) *. best_cost.Lexico.phi)
-                    w ~arc
-                else Some (Eval_incr.try_arc e w ~arc)
-              in
-              (* Infeasible trials stay staged; the search's rollback on a
-                 rejected move discards them. *)
-              match staged with
-              | None -> Infeasible
-              | Some normal when not (feasible normal) -> Infeasible
-              | Some _ -> begin
-                let b = match !base with Some b -> b | None -> assert false in
-                let h =
-                  Delta_cache.shift !cur_hash ~arc ~old_wd:b.Weights.wd.(arc)
-                    ~old_wt:b.Weights.wt.(arc) ~new_wd:w.Weights.wd.(arc)
-                    ~new_wt:w.Weights.wt.(arc)
-                in
-                pend := Some (arc, w.Weights.wd.(arc), w.Weights.wt.(arc), h);
-                match (cache_find ~hash:h w, bound) with
-                | (Some (Delta_cache.Full c), _) -> Cost c
-                | (Some (Delta_cache.Lower lb), Some than)
-                  when Lexico.prunes lb ~than ->
-                    Pruned
-                | ((Some (Delta_cache.Lower _) | None), _) -> (
-                    match bound with
-                    | Some than when Prune.enabled () -> (
-                        match sweep_bounded w ~than with
-                        | Eval.Swept c ->
-                            cache_add ~hash:h w c;
-                            Cost c
-                        | Eval.Aborted_at lb ->
-                            cache_add_lower ~hash:h w lb;
-                            Pruned)
-                    | _ ->
-                        let c = sweep w in
-                        cache_add ~hash:h w c;
-                        Cost c)
-              end);
-          commit =
-            (fun () ->
-              Eval_incr.commit e;
-              match (!pend, !base) with
-              | Some (arc, wd, wt, h), Some b ->
-                  b.Weights.wd.(arc) <- wd;
-                  b.Weights.wt.(arc) <- wt;
-                  cur_hash := h;
-                  pend := None
-              | _ -> assert false);
-          rollback =
-            (fun () ->
-              Eval_incr.rollback e;
-              pend := None);
-        }
-    end
-    else
-      Local_search.eval_engine (fun w ->
-          snd (Eval.normal_and_sweep scenario ~exec w ~failures ~feasible))
+    Pricer.engine ?exec ~cache scenario (Pricer.Kfail_if feasible) ~failures
   in
   (* --fast proposal filter: static per-arc importance — the larger of the
      Phase-1 normalised criticality (either class) and the utilisation of

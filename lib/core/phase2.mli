@@ -34,22 +34,20 @@ type output = {
 
 val run :
   rng:Dtr_util.Rng.t ->
-  ?incremental:bool ->
   ?exec:Dtr_exec.Exec.t ->
   ?fast:bool ->
   Scenario.t ->
   phase1:Phase1.output ->
   failures:Failure.t list ->
   output
-(** [incremental] (default [true]): price the normal-conditions gate of each
-    single-arc move with the {!Eval_incr} engine and start the failure sweep
-    from its cached no-failure routing bases; bit-identical to the full
-    {!Eval.normal_and_sweep} path, hence the same trajectory for a given
-    RNG.  The incremental engine additionally prunes: feasible moves are
-    priced with {!Eval.compound_sweep_bounded} against the search incumbent
-    (exact — the trajectory is unchanged) and memoized in a per-run
-    {!Delta_cache}, so revisited vectors skip the sweep entirely.  Both are
-    disabled by {!Prune.set_enabled}[ false] / [DTR_NO_PRUNE].
+(** Moves are priced by the {!Pricer} engine: the normal-conditions gate of
+    each single-arc move with the {!Eval_incr} engine, the failure sweep
+    from its cached no-failure routing bases.  Pricing prunes exactly:
+    the gate aborts once the normal partial breaks Eqs. (5)–(6), feasible
+    moves are swept against the search incumbent, and a per-run
+    {!Delta_cache} lets revisited vectors skip the sweep entirely.  Both
+    are disabled by {!Prune.set_enabled}[ false] / [DTR_NO_PRUNE], with
+    the same trajectory either way.
 
     [fast] (default [false]) enables the criticality-gated proposal filter
     ({!Local_search.filter}): arcs scored by the larger of their Phase-1

@@ -51,14 +51,12 @@ let hop_distances g dest =
   Queue.add dest queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    List.iter
-      (fun id ->
+    Graph.iter_in g u (fun id ->
         let v = (Graph.arc g id).Graph.src in
         if dist.(v) < 0 then begin
           dist.(v) <- dist.(u) + 1;
           Queue.add v queue
         end)
-      (Graph.in_arcs g u)
   done;
   dist
 

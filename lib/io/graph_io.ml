@@ -48,7 +48,8 @@ let of_string s =
           end
         | [ "node"; i; x; y ] -> begin
             match (int_of_string_opt i, float_of_string_opt x, float_of_string_opt y) with
-            | Some i, Some x, Some y -> coords := (i, Geometry.point x y) :: !coords
+            | Some i, Some x, Some y when Float.is_finite x && Float.is_finite y ->
+                coords := (i, Geometry.point x y) :: !coords
             | _ -> fail_line lineno "bad node record"
           end
         | [ "edge"; u; v; cap; delay ] -> begin
@@ -59,7 +60,7 @@ let of_string s =
                 float_of_string_opt delay )
             with
             | Some u, Some v, Some cap, Some prop ->
-                edges := Graph.{ u; v; cap; prop } :: !edges
+                edges := (lineno, Graph.{ u; v; cap; prop }) :: !edges
             | _ -> fail_line lineno "bad edge record"
           end
         | _ -> fail_line lineno "unrecognised record"
@@ -82,7 +83,12 @@ let of_string s =
       Some pts
     end
   in
-  try Graph.of_edges ?coords ~n (List.rev !edges)
+  let edges = List.rev !edges in
+  List.iter
+    (fun (lineno, e) ->
+      try Graph.check_edge ~n e with Invalid_argument msg -> fail_line lineno msg)
+    edges;
+  try Graph.of_edges ?coords ~n (List.map snd edges)
   with Invalid_argument msg -> failwith ("Graph_io: " ^ msg)
 
 let save g ~path =

@@ -1,7 +1,7 @@
 (* Sharded metrics: every domain owns a preallocated shard (one int and one
    float cell per metric) registered in a process-global list on first touch;
    writers only ever touch their own shard, so there are no read-modify-write
-   races to lose — the failure mode of the old [Eval.Sweep_stats] global,
+   races to lose — the failure mode of the old global sweep-stats record,
    whose [Atomic.set (Atomic.get + dt)] pair silently dropped wall time
    whenever two sweeps overlapped.  Readers merge the shards under the
    registry mutex, folding in increasing domain-id order so the merge itself

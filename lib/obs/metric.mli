@@ -13,8 +13,8 @@
     writer's in-flight bump, it never corrupts totals.
 
     The {!enabled} flag gates *optional* instrumentation (spans, per-move
-    counters on hot paths). Cheap once-per-batch metrics — e.g. the sweep
-    counters behind [Eval.Sweep_stats] — stay on unconditionally. *)
+    counters on hot paths). Cheap once-per-batch metrics — e.g. the
+    [eval.sweep.*] counters — stay on unconditionally. *)
 
 val set_enabled : bool -> unit
 (** Turn optional instrumentation (spans, hot-path counters) on or off.

@@ -36,8 +36,8 @@ let set_mask g t mask =
   | Node v ->
       if v < 0 || v >= Graph.num_nodes g then
         invalid_arg "Failure.set_mask: node out of range";
-      List.iter (fun id -> mask.(id) <- true) (Graph.out_arcs g v);
-      List.iter (fun id -> mask.(id) <- true) (Graph.in_arcs g v)
+      Graph.iter_out g v (fun id -> mask.(id) <- true);
+      Graph.iter_in g v (fun id -> mask.(id) <- true)
   | Arcs ids ->
       List.iter
         (fun id ->

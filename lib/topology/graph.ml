@@ -13,15 +13,10 @@ type arc = {
 type t = {
   n : int;
   arcs : arc array;
-  out_arcs : arc_id list array;
-  in_arcs : arc_id list array;
-  out_arr : arc_id array array;
-  in_arr : arc_id array array;
-  (* CSR adjacency: node [v]'s out-arc ids are [out_ids.(out_off.(v)) ..
-     out_ids.(out_off.(v + 1) - 1)], in increasing arc id — the same order as
-     [out_arcs]/[out_arr].  Likewise for in-arcs.  The hot path (Dijkstra,
-     routing, pricing) iterates these contiguous slices instead of chasing
-     per-node structures. *)
+  (* CSR adjacency, the only one: node [v]'s out-arc ids are
+     [out_ids.(out_off.(v)) .. out_ids.(out_off.(v + 1) - 1)], in increasing
+     arc id.  Likewise for in-arcs.  Every walk (Dijkstra, routing, pricing,
+     reachability) iterates these contiguous slices. *)
   out_off : int array;
   out_ids : arc_id array;
   in_off : int array;
@@ -39,6 +34,16 @@ type t = {
 
 type edge_spec = { u : node; v : node; cap : float; prop : float }
 
+(* The finiteness tests come first: NaN passes any [<= 0.] test. *)
+let check_edge ~n { u; v; cap; prop } =
+  if u < 0 || u >= n || v < 0 || v >= n then
+    invalid_arg "Graph.of_edges: endpoint out of range";
+  if u = v then invalid_arg "Graph.of_edges: self-loop";
+  if not (Float.is_finite cap) then invalid_arg "Graph.of_edges: non-finite capacity";
+  if cap <= 0. then invalid_arg "Graph.of_edges: non-positive capacity";
+  if not (Float.is_finite prop) then invalid_arg "Graph.of_edges: non-finite delay";
+  if prop <= 0. then invalid_arg "Graph.of_edges: non-positive delay"
+
 let of_edges ?coords ~n edges =
   if n <= 0 then invalid_arg "Graph.of_edges: need at least one node";
   (match coords with
@@ -46,12 +51,8 @@ let of_edges ?coords ~n edges =
       invalid_arg "Graph.of_edges: coords length mismatch"
   | _ -> ());
   let seen = Hashtbl.create (2 * List.length edges) in
-  let check { u; v; cap; prop } =
-    if u < 0 || u >= n || v < 0 || v >= n then
-      invalid_arg "Graph.of_edges: endpoint out of range";
-    if u = v then invalid_arg "Graph.of_edges: self-loop";
-    if cap <= 0. then invalid_arg "Graph.of_edges: non-positive capacity";
-    if prop <= 0. then invalid_arg "Graph.of_edges: non-positive delay";
+  let check ({ u; v; _ } as e) =
+    check_edge ~n e;
     let key = (min u v, max u v) in
     if Hashtbl.mem seen key then invalid_arg "Graph.of_edges: duplicate edge";
     Hashtbl.add seen key ()
@@ -65,35 +66,22 @@ let of_edges ?coords ~n edges =
       arcs.(fwd) <- { id = fwd; src = u; dst = v; capacity = cap; delay = prop; rev = bwd };
       arcs.(bwd) <- { id = bwd; src = v; dst = u; capacity = cap; delay = prop; rev = fwd })
     edges;
-  let out_arcs = Array.make n [] and in_arcs = Array.make n [] in
-  (* Iterate in reverse so adjacency lists come out in increasing arc id. *)
-  for id = (2 * m) - 1 downto 0 do
-    let a = arcs.(id) in
-    out_arcs.(a.src) <- id :: out_arcs.(a.src);
-    in_arcs.(a.dst) <- id :: in_arcs.(a.dst)
-  done;
-  let out_arr = Array.map Array.of_list out_arcs in
-  let in_arr = Array.map Array.of_list in_arcs in
-  let pack adj =
+  (* Rows keep increasing arc id: a stable sort of the ids by endpoint. *)
+  let pack endpoint =
+    let ids = Array.init (2 * m) Fun.id in
+    Array.stable_sort (fun a b -> compare (endpoint arcs.(a)) (endpoint arcs.(b))) ids;
     let off = Array.make (n + 1) 0 in
+    Array.iter (fun a -> off.(endpoint a + 1) <- off.(endpoint a + 1) + 1) arcs;
     for v = 0 to n - 1 do
-      off.(v + 1) <- off.(v) + Array.length adj.(v)
-    done;
-    let ids = Array.make off.(n) 0 in
-    for v = 0 to n - 1 do
-      Array.blit adj.(v) 0 ids off.(v) (Array.length adj.(v))
+      off.(v + 1) <- off.(v + 1) + off.(v)
     done;
     (off, ids)
   in
-  let out_off, out_ids = pack out_arr in
-  let in_off, in_ids = pack in_arr in
+  let out_off, out_ids = pack (fun a -> a.src) in
+  let in_off, in_ids = pack (fun a -> a.dst) in
   {
     n;
     arcs;
-    out_arcs;
-    in_arcs;
-    out_arr;
-    in_arr;
     out_off;
     out_ids;
     in_off;
@@ -114,10 +102,14 @@ let arc g id =
   g.arcs.(id)
 
 let arcs g = g.arcs
-let out_arcs g v = g.out_arcs.(v)
-let in_arcs g v = g.in_arcs.(v)
-let out_arcs_array g v = g.out_arr.(v)
-let in_arcs_array g v = g.in_arr.(v)
+
+let iter_row off ids v f =
+  for i = off.(v) to off.(v + 1) - 1 do
+    f ids.(i)
+  done
+
+let iter_out g v f = iter_row g.out_off g.out_ids v f
+let iter_in g v f = iter_row g.in_off g.in_ids v f
 let out_offsets g = g.out_off
 let out_csr g = g.out_ids
 let in_offsets g = g.in_off
@@ -129,7 +121,12 @@ let arc_prop_delays g = g.arc_prop
 let arc_reverses g = g.arc_rev
 
 let find_arc g src dst =
-  List.find_opt (fun id -> g.arcs.(id).dst = dst) g.out_arcs.(src)
+  let rec go i =
+    if i >= g.out_off.(src + 1) then None
+    else if g.arc_dst.(g.out_ids.(i)) = dst then Some g.out_ids.(i)
+    else go (i + 1)
+  in
+  go g.out_off.(src)
 
 let coords g = g.coords
 
@@ -161,7 +158,7 @@ let reachable_from ?disabled g s =
             end
           end
         in
-        List.iter visit g.out_arcs.(u);
+        iter_out g u visit;
         walk ()
   in
   walk ();
@@ -189,7 +186,7 @@ let strongly_connected ?disabled g =
               end
             end
           in
-          List.iter visit g.in_arcs.(u);
+          iter_in g u visit;
           walk ()
     in
     walk ();

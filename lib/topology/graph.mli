@@ -41,7 +41,12 @@ val of_edges : ?coords:Geometry.point array -> n:int -> edge_spec list -> t
     [rev].  Arc ids follow list order: spec [k] yields arcs [2k] (u→v) and
     [2k+1] (v→u).
     @raise Invalid_argument on out-of-range endpoints, self-loops, duplicate
-    edges, or non-positive capacity/delay. *)
+    edges, or a capacity/delay that is not a positive finite number. *)
+
+val check_edge : n:int -> edge_spec -> unit
+(** The per-edge checks of {!of_edges} (all but duplicates), for loaders
+    that report the offending line.
+    @raise Invalid_argument with the same messages. *)
 
 (** {1 Accessors} *)
 
@@ -54,25 +59,18 @@ val arc : t -> arc_id -> arc
 val arcs : t -> arc array
 (** All arcs, indexed by id.  Do not mutate. *)
 
-val out_arcs : t -> node -> arc_id list
-(** Arc ids leaving a node. *)
+val iter_out : t -> node -> (arc_id -> unit) -> unit
+(** Arc ids leaving a node, in increasing id (a walk over the CSR row). *)
 
-val in_arcs : t -> node -> arc_id list
-(** Arc ids entering a node. *)
-
-val out_arcs_array : t -> node -> arc_id array
-(** Same as {!out_arcs} as a shared array — the routing hot path uses these
-    to avoid list traversal.  Do not mutate. *)
-
-val in_arcs_array : t -> node -> arc_id array
-(** Shared array counterpart of {!in_arcs}.  Do not mutate. *)
+val iter_in : t -> node -> (arc_id -> unit) -> unit
+(** Arc ids entering a node, in increasing id. *)
 
 (** {2 Flat-CSR views}
 
     The routing core iterates adjacency and per-arc attributes as contiguous
     arrays: node [v]'s out-arcs occupy the slice
     [out_csr.(out_offsets.(v)) .. out_csr.(out_offsets.(v+1) - 1)], in
-    increasing arc id (the same order as {!out_arcs}).  The per-arc arrays
+    increasing arc id (the order {!iter_out} walks).  The per-arc arrays
     are the structure-of-arrays view of {!arcs}; float arrays are unboxed.
     All returned arrays are shared — do not mutate. *)
 

@@ -19,14 +19,12 @@ let hop_distances g src =
   Queue.add src queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    List.iter
-      (fun id ->
+    Graph.iter_out g u (fun id ->
         let v = (Graph.arc g id).Graph.dst in
         if dist.(v) < 0 then begin
           dist.(v) <- dist.(u) + 1;
           Queue.add v queue
         end)
-      (Graph.out_arcs g u)
   done;
   dist
 
@@ -53,15 +51,13 @@ let prop_diameter g =
       | None -> ()
       | Some (d, u) ->
           if d = dist.(u) then
-            List.iter
-              (fun id ->
+            Graph.iter_out g u (fun id ->
                 let a = Graph.arc g id in
                 let alt = d +. a.Graph.delay in
                 if alt < dist.(a.Graph.dst) then begin
                   dist.(a.Graph.dst) <- alt;
                   Dtr_util.Heap.push heap alt a.Graph.dst
-                end)
-              (Graph.out_arcs g u);
+                end);
           loop ()
     in
     loop ();
@@ -100,12 +96,10 @@ let arc_disjoint_paths g ~src ~dst =
             if v = dst then found := true else Queue.add v queue
           end
         in
-        List.iter
-          (fun id -> if capacity.(id) > 0 then try_visit (Graph.arc g id).Graph.dst id true)
-          (Graph.out_arcs g u);
-        List.iter
-          (fun id -> if reverse.(id) > 0 then try_visit (Graph.arc g id).Graph.src id false)
-          (Graph.in_arcs g u)
+        Graph.iter_out g u (fun id ->
+            if capacity.(id) > 0 then try_visit (Graph.arc g id).Graph.dst id true);
+        Graph.iter_in g u (fun id ->
+            if reverse.(id) > 0 then try_visit (Graph.arc g id).Graph.src id false)
       done;
       if not !found then count
       else begin

@@ -29,13 +29,13 @@ let random_graph rng =
   Gen.generate rng kind ~nodes ~degree:(3. +. Rng.float rng 2.)
 
 (* ------------------------------------------------------------------ *)
-(* CSR adjacency views vs the legacy list API                          *)
+(* CSR adjacency views vs the arc records                              *)
 (* ------------------------------------------------------------------ *)
 
 let row off ids v = Array.to_list (Array.sub ids off.(v) (off.(v + 1) - off.(v)))
 
 let prop_csr_adjacency =
-  QCheck.Test.make ~name:"CSR views equal legacy adjacency" ~count:50
+  QCheck.Test.make ~name:"CSR views equal arc records" ~count:50
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -51,9 +51,13 @@ let prop_csr_adjacency =
       check (Array.length out_off = n + 1 && Array.length in_off = n + 1);
       check (out_off.(0) = 0 && out_off.(n) = m);
       check (in_off.(0) = 0 && in_off.(n) = m);
+      (* rows list every arc with that endpoint, in increasing id *)
+      let with_endpoint endpoint v =
+        List.filter (fun a -> endpoint (Graph.arc g a) = v) (List.init m Fun.id)
+      in
       for v = 0 to n - 1 do
-        check (row out_off out_ids v = Graph.out_arcs g v);
-        check (row in_off in_ids v = Graph.in_arcs g v)
+        check (row out_off out_ids v = with_endpoint (fun a -> a.Graph.src) v);
+        check (row in_off in_ids v = with_endpoint (fun a -> a.Graph.dst) v)
       done;
       for a = 0 to m - 1 do
         let arc = Graph.arc g a in
@@ -95,7 +99,7 @@ let oracle_hops g ~weights ~dist u =
       let arc = Graph.arc g a in
       dist.(arc.Graph.dst) < Dijkstra.infinity
       && weights.(a) + dist.(arc.Graph.dst) = dist.(u))
-    (Graph.out_arcs g u)
+    (List.init (Graph.num_arcs g) Fun.id |> List.filter (fun a -> (Graph.arc g a).Graph.src = u))
 
 (* Even-split loads towards [dest]: push each source's demand through the
    DAG in decreasing-distance order, dividing equally at every fork. *)

@@ -189,34 +189,40 @@ let test_e2e_engine_identity () =
   check "jobs=1 vs jobs=2" on jobs2
 
 (* The escape hatch: disabling the engine routes every sweep through the
-   from-scratch path (visible in the sweep statistics). *)
+   from-scratch path (visible in the eval.sweep.* counters). *)
 let test_stats_report_engine_state () =
   let scenario = Fixtures.small ~seed:5 ~nodes:8 () in
   let rng = Rng.create 11 in
   let w = Weights.random rng ~num_arcs:(Scenario.num_arcs scenario) ~wmax:16 in
   let failures = Failure.all_single_arcs scenario.Scenario.graph in
-  Eval.Sweep_stats.reset ();
+  let counter name = Dtr_obs.Metric.Counter.create name in
+  let names =
+    [ "eval.sweeps"; "eval.sweep.cache_builds"; "eval.sweep.cached_evals";
+      "eval.sweep.full_evals" ]
+  in
+  let value name = Dtr_obs.Metric.Counter.value (counter name) in
+  let reset () = List.iter (fun n -> Dtr_obs.Metric.Counter.reset (counter n)) names in
+  reset ();
   let (_ : Eval.detail list) =
     with_engine true (fun () -> Eval.sweep_details scenario ~exec:Exec.serial w failures)
   in
-  let s = Eval.Sweep_stats.snapshot () in
-  Alcotest.(check int) "one sweep recorded" 1 s.Eval.Sweep_stats.sweeps;
-  Alcotest.(check int) "one cache build" 1 s.Eval.Sweep_stats.cache_builds;
+  Alcotest.(check int) "one sweep recorded" 1 (value "eval.sweeps");
+  Alcotest.(check int) "one cache build" 1 (value "eval.sweep.cache_builds");
   Alcotest.(check int)
     "every arc failure priced from the cache"
     (List.length failures)
-    s.Eval.Sweep_stats.cached_evals;
-  Eval.Sweep_stats.reset ();
+    (value "eval.sweep.cached_evals");
+  reset ();
   let (_ : Eval.detail list) =
     with_engine false (fun () ->
         Eval.sweep_details scenario ~exec:Exec.serial w failures)
   in
-  let s = Eval.Sweep_stats.snapshot () in
-  Alcotest.(check int) "no cache build when disabled" 0 s.Eval.Sweep_stats.cache_builds;
+  Alcotest.(check int) "no cache build when disabled" 0
+    (value "eval.sweep.cache_builds");
   Alcotest.(check int)
     "every failure priced from scratch"
     (List.length failures)
-    s.Eval.Sweep_stats.full_evals
+    (value "eval.sweep.full_evals")
 
 let suite =
   [

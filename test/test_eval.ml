@@ -114,23 +114,27 @@ let test_sweep_nodes_matches_pointwise () =
       Alcotest.(check bool) "node scenario matches" true (Lexico.equal slow fast.(i)))
     failures
 
-let test_normal_and_sweep () =
+(* The move engine's sweep entry point starts from Eval_incr's cached bases;
+   unbounded, it must equal the from-scratch compound bit for bit, alone and
+   with the normal cost folded in as [init]. *)
+let test_sweep_from_bases () =
   let scenario = Fixtures.small ~seed:79 () in
   let rng = Rng.create 7 in
   let w = Weights.random rng ~num_arcs:(Scenario.num_arcs scenario) ~wmax:20 in
   let failures = Failure.all_single_arcs scenario.Scenario.graph in
-  let normal, compounded = Eval.normal_and_sweep scenario w ~failures ~feasible:(fun _ -> true) in
-  Alcotest.(check bool) "normal agrees" true (Lexico.equal normal (Eval.cost scenario w));
-  (match compounded with
-  | Some total ->
-      let expected = Eval.compound (Eval.sweep scenario w failures) in
-      Alcotest.(check bool) "compound agrees" true
-        (Float.abs (total.Lexico.lambda -. expected.Lexico.lambda) < 1e-6
-        && Float.abs (total.Lexico.phi -. expected.Lexico.phi) < 1e-6 *. (1. +. expected.Lexico.phi))
-  | None -> Alcotest.fail "feasible eval returned None");
-  (* infeasible short-circuits *)
-  let _, none = Eval.normal_and_sweep scenario w ~failures ~feasible:(fun _ -> false) in
-  Alcotest.(check bool) "infeasible gives None" true (none = None)
+  let e = Dtr_core.Eval_incr.create scenario in
+  let normal = Dtr_core.Eval_incr.anchor e w in
+  let routing_d, routing_t = Dtr_core.Eval_incr.current_routing e in
+  let expected = Eval.compound (Eval.sweep scenario w failures) in
+  let bits c = (Int64.bits_of_float c.Lexico.lambda, Int64.bits_of_float c.Lexico.phi) in
+  let check name init want =
+    match Eval.compound_sweep_bounded scenario ~routing_d ~routing_t ?init w ~failures with
+    | Eval.Swept c -> Alcotest.(check bool) name true (bits c = bits want)
+    | Eval.Aborted_at _ -> Alcotest.fail "an unbounded sweep aborted"
+  in
+  check "compound agrees bitwise" None expected;
+  check "normal + compound agrees bitwise" (Some normal)
+    (Lexico.add (Eval.cost scenario w) expected)
 
 let test_compound () =
   let c = Eval.compound [| Lexico.make ~lambda:1. ~phi:2.; Lexico.make ~lambda:3. ~phi:4. |] in
@@ -147,6 +151,6 @@ let suite =
     Alcotest.test_case "matrix override" `Quick test_matrix_override;
     Alcotest.test_case "sweep equals pointwise (arcs)" `Quick test_sweep_matches_pointwise;
     Alcotest.test_case "sweep equals pointwise (nodes)" `Quick test_sweep_nodes_matches_pointwise;
-    Alcotest.test_case "normal_and_sweep fast path" `Quick test_normal_and_sweep;
+    Alcotest.test_case "sweep from engine bases" `Quick test_sweep_from_bases;
     Alcotest.test_case "compound" `Quick test_compound;
   ]

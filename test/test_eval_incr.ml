@@ -1,7 +1,7 @@
 (* Tests for the incremental single-arc evaluation engine: bit-identity with
    the full evaluation (costs, counters, loads — raw float equality, not a
    tolerance), with_changed_arc vs from-scratch routing, engine protocol
-   errors, and fixed-seed identity of the incremental and plain phases. *)
+   errors, and the move engines against the from-scratch oracle. *)
 
 module Rng = Dtr_util.Rng
 module Graph = Dtr_topology.Graph
@@ -16,6 +16,10 @@ module Eval_incr = Dtr_core.Eval_incr
 module Phase1 = Dtr_core.Phase1
 module Phase2 = Dtr_core.Phase2
 module Criticality = Dtr_core.Criticality
+module Local_search = Dtr_core.Local_search
+module Delta_cache = Dtr_core.Delta_cache
+module Pricer = Dtr_core.Pricer
+module Optimizer = Dtr_core.Optimizer
 
 let scenario_of_seed seed =
   let rng = Rng.create seed in
@@ -164,48 +168,127 @@ let test_diamond_exact () =
     (Routing.distance d ~src:0 ~dst:3);
   ignore t
 
-(* The incremental and plain paths must follow the exact same trajectory for
-   a fixed seed: same RNG stream, bit-identical costs, hence identical
-   results. *)
-let test_phase1_identity () =
-  let scenario = Fixtures.small ~seed:7 () in
-  let run incremental = Phase1.run ~rng:(Rng.create 99) ~incremental scenario in
-  let a = run true and b = run false in
-  Alcotest.(check bool) "same best weights" true (Weights.equal a.Phase1.best b.Phase1.best);
-  Alcotest.(check bool) "same best cost" true
-    (a.Phase1.best_cost.Lexico.lambda = b.Phase1.best_cost.Lexico.lambda
-    && a.Phase1.best_cost.Lexico.phi = b.Phase1.best_cost.Lexico.phi);
-  Alcotest.(check int) "same eval count" a.Phase1.stats.Phase1.evals
-    b.Phase1.stats.Phase1.evals;
-  Alcotest.(check int) "same sweep count" a.Phase1.stats.Phase1.sweeps
-    b.Phase1.stats.Phase1.sweeps;
-  Alcotest.(check (list int)) "same critical set"
-    (Phase1.critical_set scenario a)
-    (Phase1.critical_set scenario b);
-  Alcotest.(check int) "same acceptable pool size"
-    (List.length a.Phase1.acceptable)
-    (List.length b.Phase1.acceptable)
+(* Oracle tests for the move engine.  The production engines (Phase 2's and
+   the warm start's, {!Dtr_core.Pricer}) and a stateless engine over
+   from-scratch [Eval.cost] + [Eval.compound (Eval.sweep ...)] run the same
+   search from the same seed, config and starts: every engine layer — the
+   incremental pricer, its bounded gate, the bounded sweep from cached
+   bases, the delta cache and the dynamic-SPF sweep cache — must be
+   invisible, down to the bits of the best cost and the eval count.  The
+   suite runs under DTR_NO_PRUNE / DTR_NO_DSPF / DTR_JOBS too, so each of
+   those paths is checked against the oracle, not only against the
+   others. *)
 
-let test_phase2_identity () =
+let bits c = (Int64.bits_of_float c.Lexico.lambda, Int64.bits_of_float c.Lexico.phi)
+
+let check_same_search name (a : Local_search.result) (b : Local_search.result) =
+  Alcotest.(check bool) (name ^ ": same best weights") true
+    (Weights.equal a.Local_search.best b.Local_search.best);
+  Alcotest.(check bool) (name ^ ": same best cost bits") true
+    (bits a.Local_search.best_cost = bits b.Local_search.best_cost);
+  Alcotest.(check int) (name ^ ": same eval count") a.Local_search.evals
+    b.Local_search.evals
+
+let search_config (scenario : Scenario.t) =
+  let p = scenario.Scenario.params in
+  Local_search.
+    {
+      wmax = p.Scenario.wmax;
+      interval = p.Scenario.p2_interval;
+      rounds = p.Scenario.p2_rounds;
+      c = p.Scenario.c_improvement;
+      max_rounds = 3;
+      max_sweeps = p.Scenario.p2_max_sweeps;
+    }
+
+let oracle_fixture () =
   let scenario = Fixtures.small ~seed:11 () in
   let phase1 = Phase1.run ~rng:(Rng.create 5) scenario in
   let failures =
     List.map (fun a -> Failure.Arc a) (Phase1.critical_set scenario phase1)
   in
-  let run incremental =
-    Phase2.run ~rng:(Rng.create 17) ~incremental scenario ~phase1 ~failures
+  (scenario, phase1, failures)
+
+let oracle_kfail scenario w failures = Eval.compound (Eval.sweep scenario w failures)
+
+let test_phase2_engine_oracle () =
+  let scenario, phase1, failures = oracle_fixture () in
+  let best = phase1.Phase1.best_cost in
+  let chi = scenario.Scenario.params.Scenario.chi in
+  let feasible n =
+    n.Lexico.lambda <= best.Lexico.lambda +. Lexico.lambda_tolerance
+    && n.Lexico.phi <= (1. +. chi) *. best.Lexico.phi
   in
-  let a = run true and b = run false in
-  Alcotest.(check bool) "same robust weights" true
-    (Weights.equal a.Phase2.robust b.Phase2.robust);
-  Alcotest.(check bool) "same fail cost" true
-    (a.Phase2.fail_cost.Lexico.lambda = b.Phase2.fail_cost.Lexico.lambda
-    && a.Phase2.fail_cost.Lexico.phi = b.Phase2.fail_cost.Lexico.phi);
-  Alcotest.(check bool) "same normal cost" true
-    (a.Phase2.normal_cost.Lexico.lambda = b.Phase2.normal_cost.Lexico.lambda
-    && a.Phase2.normal_cost.Lexico.phi = b.Phase2.normal_cost.Lexico.phi);
-  Alcotest.(check int) "same eval count" a.Phase2.stats.Phase2.evals
-    b.Phase2.stats.Phase2.evals
+  let starts = Array.of_list phase1.Phase1.acceptable in
+  let init ~round = fst starts.(round mod Array.length starts) in
+  let search engine =
+    Local_search.run_engine ~rng:(Rng.create 17) ~num_arcs:(Scenario.num_arcs scenario)
+      ~engine ~init (search_config scenario)
+  in
+  let cache = Delta_cache.create ~capacity:128 in
+  let production =
+    search (Pricer.engine ~cache scenario (Pricer.Kfail_if feasible) ~failures)
+  in
+  let oracle =
+    search
+      (Local_search.eval_engine (fun w ->
+           if feasible (Eval.cost scenario w) then Some (oracle_kfail scenario w failures)
+           else None))
+  in
+  check_same_search "phase2" production oracle
+
+let test_warm_engine_oracle () =
+  let scenario, phase1, failures = oracle_fixture () in
+  let init ~round:_ = phase1.Phase1.best in
+  let search engine =
+    Local_search.run_engine ~rng:(Rng.create 23) ~num_arcs:(Scenario.num_arcs scenario)
+      ~engine ~init (search_config scenario)
+  in
+  let oracle =
+    search
+      (Local_search.eval_engine (fun w ->
+           Some (Lexico.add (Eval.cost scenario w) (oracle_kfail scenario w failures))))
+  in
+  (* a cache shared across two runs: the second one is served by it *)
+  let cache = Delta_cache.create ~capacity:4096 in
+  let run () = search (Pricer.engine ~cache scenario Pricer.Normal_plus_kfail ~failures) in
+  check_same_search "warm" (run ()) oracle;
+  check_same_search "warm, cache-served rerun" (run ()) oracle;
+  (* a new objective: the caller must invalidate the cache *)
+  Delta_cache.bump cache;
+  let normal_only =
+    search (Pricer.engine ~cache scenario Pricer.Normal_plus_kfail ~failures:[])
+  in
+  check_same_search "warm, no failures" normal_only
+    (search (Local_search.eval_engine (fun w -> Some (Eval.cost scenario w))))
+
+(* Golden pin of the end-to-end answers, captured before the move engine was
+   unified: one cold optimize and one cached warm start on a fixed
+   fixture.  Weights are pinned by the MD5 of their file form, costs by the
+   exact bits. *)
+let test_golden_pin () =
+  let md5 w = Digest.to_hex (Digest.string (Dtr_io.Weights_io.to_string w)) in
+  let hex c = Printf.sprintf "%h %h" c.Lexico.lambda c.Lexico.phi in
+  let scenario = Fixtures.small ~seed:7 () in
+  let sol = Optimizer.optimize ~rng:(Rng.create 2008) scenario in
+  let check = Alcotest.(check string) in
+  check "regular weights" "44cb67e25c32a0810656bfa22bc68ba8" (md5 sol.Optimizer.regular);
+  check "robust weights" "9edd87f4d4c2db2371124baca5f45026" (md5 sol.Optimizer.robust);
+  check "regular cost" "0x0p+0 0x1.6b7e56db757e6p+13" (hex sol.Optimizer.regular_cost);
+  check "robust normal cost" "0x0p+0 0x1.55f7e40afa0e7p+13"
+    (hex sol.Optimizer.robust_normal_cost);
+  check "robust fail cost" "0x1.6977667c9ac1p+9 0x1.df639f8b5ec5cp+15"
+    (hex sol.Optimizer.robust_fail_cost);
+  let warm =
+    Optimizer.warm_start ~rng:(Rng.create 11) ~failures:sol.Optimizer.failures
+      ~cache:(Delta_cache.create ~capacity:64) ~incumbent:sol.Optimizer.regular scenario
+  in
+  check "warm weights" "97341836c31316489f701f9f41942788" (md5 warm.Optimizer.weights);
+  check "warm objective" "0x1.694dfa2592928p+9 0x1.0c2d01c197751p+16"
+    (hex warm.Optimizer.objective);
+  check "warm start objective" "0x1.1c81a4953a044p+11 0x1.6f5a98048252p+20"
+    (hex warm.Optimizer.start_objective);
+  Alcotest.(check int) "warm evals" 2964 warm.Optimizer.warm_evals
 
 let suite =
   [
@@ -213,6 +296,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_changed_arc_equivalence;
     Alcotest.test_case "engine protocol errors" `Quick test_protocol_errors;
     Alcotest.test_case "diamond exact staged cost" `Quick test_diamond_exact;
-    Alcotest.test_case "phase1 incremental = plain" `Quick test_phase1_identity;
-    Alcotest.test_case "phase2 incremental = plain" `Quick test_phase2_identity;
+    Alcotest.test_case "phase2 engine = oracle" `Quick test_phase2_engine_oracle;
+    Alcotest.test_case "warm engine = oracle" `Quick test_warm_engine_oracle;
+    Alcotest.test_case "golden pin: optimize + warm" `Quick test_golden_pin;
   ]

@@ -57,7 +57,20 @@ let test_graph_parse_errors () =
   check_fails "bad record" "nodes 2\nfrobnicate\n";
   check_fails "bad edge arity" "nodes 2\nedge 0 1 500\n";
   check_fails "self loop" "nodes 2\nedge 1 1 500.0 0.005\n";
-  check_fails "partial coords" "nodes 2\nnode 0 0.1 0.2\nedge 0 1 500.0 0.005\n"
+  check_fails "partial coords" "nodes 2\nnode 0 0.1 0.2\nedge 0 1 500.0 0.005\n";
+  (* every non-finite or non-positive capacity or delay names its line;
+     NaN passes a [<= 0.] test and would price as a perfect <0,0> *)
+  List.iter
+    (fun (cap, delay) ->
+      let s = Printf.sprintf "nodes 3\nedge 0 1 500 0.005\nedge 1 2 %s %s\n" cap delay in
+      match Graph_io.of_string s with
+      | exception Failure msg ->
+          Alcotest.(check bool) (msg ^ " names line 3") true
+            (String.starts_with ~prefix:"Graph_io: line 3:" msg)
+      | _ -> Alcotest.fail (cap ^ " " ^ delay ^ ": expected failure"))
+    (List.concat_map
+       (fun bad -> [ (bad, "0.005"); ("500", bad) ])
+       [ "nan"; "inf"; "-inf"; "0"; "-1" ])
 
 let test_graph_comments_and_blanks () =
   let s = "# header\n\nnodes 2\n  edge 0 1 500.0 0.005  # trailing comment\n\n" in

@@ -59,7 +59,11 @@ let random_batches rng g =
          (Array.to_list idx |> List.concat_map (fun i -> both links.(i))))
   in
   let isolate u =
-    Failure.Arcs (List.sort_uniq compare (Graph.out_arcs g u @ Graph.in_arcs g u))
+    let row off ids = Array.to_list (Array.sub ids off.(u) (off.(u + 1) - off.(u))) in
+    Failure.Arcs
+      (List.sort_uniq compare
+         (row (Graph.out_offsets g) (Graph.out_csr g)
+         @ row (Graph.in_offsets g) (Graph.in_csr g)))
   in
   [
     batch 1;

@@ -1,5 +1,5 @@
 (* Tests for the dtr_obs observability layer: exactness of the per-domain
-   sharded metrics under concurrent writers (the old Sweep_stats global lost
+   sharded metrics under concurrent writers (the old sweep-stats global lost
    updates there), the overlapping-sweep regression on Eval's compatibility
    view, span-tree structure and gating, report serialization, and that
    turning instrumentation on never perturbs fixed-seed optimizer results. *)
@@ -51,7 +51,7 @@ let test_sharded_exactness () =
   Alcotest.(check bool) "more than one shard contributed" true
     (List.length per_dom > 1)
 
-(* Regression for the torn Sweep_stats.seconds update: two domains running
+(* Regression for the torn sweep-seconds update: two domains running
    overlapping serial sweeps must account for every sweep, every failure
    evaluation, and a strictly positive wall-time total.  The old
    [Atomic.set (Atomic.get + dt)] pair dropped updates on this workload. *)
@@ -61,7 +61,17 @@ let test_overlapping_sweep_totals () =
     Weights.random (Rng.create 3) ~num_arcs:(Scenario.num_arcs scenario) ~wmax:16
   in
   let failures = Failure.all_single_arcs scenario.Scenario.graph in
-  Eval.Sweep_stats.reset ();
+  let sweeps = Metric.Counter.create "eval.sweeps" in
+  let evals =
+    List.map Metric.Counter.create
+      [ "eval.sweep.cached_evals"; "eval.sweep.full_evals" ]
+  in
+  let seconds = Metric.Accum.create "eval.sweep.seconds" in
+  let reset () =
+    List.iter Metric.Counter.reset (sweeps :: evals);
+    Metric.Accum.reset seconds
+  in
+  reset ();
   let reps = 6 in
   let run () =
     for _ = 1 to reps do
@@ -73,18 +83,16 @@ let test_overlapping_sweep_totals () =
   let d = Domain.spawn run in
   run ();
   Domain.join d;
-  let s = Eval.Sweep_stats.snapshot () in
   Alcotest.(check int) "sweep count exact under concurrency" (2 * reps)
-    s.Eval.Sweep_stats.sweeps;
+    (Metric.Counter.value sweeps);
   Alcotest.(check int)
     "every failure evaluation accounted for"
     (2 * reps * List.length failures)
-    (s.Eval.Sweep_stats.cached_evals + s.Eval.Sweep_stats.full_evals);
-  Alcotest.(check bool) "wall time recorded" true (s.Eval.Sweep_stats.seconds > 0.);
-  Eval.Sweep_stats.reset ();
-  let s = Eval.Sweep_stats.snapshot () in
-  Alcotest.(check int) "reset clears sweeps" 0 s.Eval.Sweep_stats.sweeps;
-  Alcotest.(check (float 0.)) "reset clears seconds" 0. s.Eval.Sweep_stats.seconds
+    (List.fold_left (fun acc c -> acc + Metric.Counter.value c) 0 evals);
+  Alcotest.(check bool) "wall time recorded" true (Metric.Accum.value seconds > 0.);
+  reset ();
+  Alcotest.(check int) "reset clears sweeps" 0 (Metric.Counter.value sweeps);
+  Alcotest.(check (float 0.)) "reset clears seconds" 0. (Metric.Accum.value seconds)
 
 let test_span_nesting () =
   with_obs true @@ fun () ->

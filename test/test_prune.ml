@@ -112,9 +112,7 @@ let prop_sweep_bounded_exact =
         List.init (min m 6) (fun _ -> Failure.Arc (Rng.int rng m))
         |> List.sort_uniq compare
       in
-      let full =
-        Eval.compound_sweep_from scenario ~routing_d ~routing_t w ~failures
-      in
+      let full = Eval.compound (Eval.sweep scenario w failures) in
       (* three bound regimes: prune nothing, prune everything, realistic *)
       let init, bound =
         match mode with
@@ -144,48 +142,55 @@ let test_delta_cache () =
   let rng = Rng.create 31 in
   let m = 12 in
   let w = Weights.random rng ~num_arcs:m ~wmax:20 in
-  (* rolling-hash shift agrees with a from-scratch hash *)
-  let h0 = Delta_cache.hash_of w in
-  let arc = 5 in
-  let old_wd = w.Weights.wd.(arc) and old_wt = w.Weights.wt.(arc) in
-  w.Weights.wd.(arc) <- old_wd + 1;
-  w.Weights.wt.(arc) <- old_wt + 2;
-  let shifted =
-    Delta_cache.shift h0 ~arc ~old_wd ~old_wt ~new_wd:w.Weights.wd.(arc)
-      ~new_wt:w.Weights.wt.(arc)
-  in
-  Alcotest.(check bool) "shift = hash_of" true (shifted = Delta_cache.hash_of w);
-  (* exactness: only the very vector that was stored hits *)
   let t = Delta_cache.create ~capacity:4 in
+  let c = Delta_cache.cursor (Some t) in
+  Delta_cache.start c w;
+  (* stage a single-arc move: the cursor keys it by a rolling-hash shift *)
+  let arc = 5 in
+  w.Weights.wd.(arc) <- w.Weights.wd.(arc) + 1;
+  w.Weights.wt.(arc) <- w.Weights.wt.(arc) + 2;
+  Delta_cache.stage c w ~arc;
   let cost = Lexico.make ~lambda:1.5 ~phi:42. in
   (* a lower-bound entry upgrades to the exact cost, never the reverse *)
   let partial = Lexico.make ~lambda:1.5 ~phi:17. in
-  Delta_cache.add_lower t ~hash:shifted w partial;
-  (match Delta_cache.find t ~hash:shifted w with
+  Delta_cache.record c w (Delta_cache.Lower partial);
+  Delta_cache.commit c;
+  (* a fresh cursor re-keys the same vector from scratch: the shifted key
+     must agree with the full hash *)
+  let c = Delta_cache.cursor (Some t) in
+  Delta_cache.start c w;
+  (match Delta_cache.lookup c w with
   | Some (Delta_cache.Lower p) ->
       Alcotest.(check bool) "lower hit returns stored partial" true
         (same_cost p partial)
   | Some (Delta_cache.Full _) -> Alcotest.fail "expected a lower-bound entry"
-  | None -> Alcotest.fail "expected a lower-bound hit");
-  Delta_cache.add t ~hash:shifted w cost;
-  Delta_cache.add_lower t ~hash:shifted w partial;
-  (match Delta_cache.find t ~hash:shifted w with
-  | Some (Delta_cache.Full c) ->
-      Alcotest.(check bool) "hit returns stored cost" true (same_cost c cost)
+  | None -> Alcotest.fail "expected a lower-bound hit (shift = full hash)");
+  Delta_cache.record c w (Delta_cache.Full cost);
+  Delta_cache.record c w (Delta_cache.Lower partial);
+  (match Delta_cache.lookup c w with
+  | Some (Delta_cache.Full x) ->
+      Alcotest.(check bool) "hit returns stored cost" true (same_cost x cost)
   | Some (Delta_cache.Lower _) ->
-      Alcotest.fail "add_lower must not downgrade a full entry"
+      Alcotest.fail "a lower bound must not downgrade a full entry"
   | None -> Alcotest.fail "expected a hit");
+  (* exactness: only the very vector that was stored hits, even when the
+     caller mutates it behind the cursor's back (same key, other vector) *)
   w.Weights.wd.(0) <- w.Weights.wd.(0) + 1;
-  Alcotest.(check bool) "mutated vector misses even on a forced hash" true
-    (Delta_cache.find t ~hash:shifted w = None);
+  Alcotest.(check bool) "mutated vector misses on the same key" true
+    (Delta_cache.lookup c w = None);
   w.Weights.wd.(0) <- w.Weights.wd.(0) - 1;
   Delta_cache.bump t;
   Alcotest.(check bool) "bump invalidates resident entries" true
-    (Delta_cache.find t ~hash:shifted w = None);
+    (Delta_cache.lookup c w = None);
   let s = Delta_cache.stats t in
   Alcotest.(check int) "one verified full hit" 1 s.Delta_cache.hits;
   Alcotest.(check int) "one verified lower hit" 1 s.Delta_cache.lower_hits;
-  Alcotest.(check int) "two misses" 2 s.Delta_cache.misses
+  Alcotest.(check int) "two misses" 2 s.Delta_cache.misses;
+  (* without a cache the cursor is inert *)
+  let off = Delta_cache.cursor None in
+  Delta_cache.start off w;
+  Delta_cache.record off w (Delta_cache.Full cost);
+  Alcotest.(check bool) "no cache, no hit" true (Delta_cache.lookup off w = None)
 
 (* Pin the pruning flag for one run and restore the ambient state after:
    the suite must behave identically under DTR_NO_PRUNE=1 (the CI leg runs
