@@ -16,7 +16,6 @@ module Eval_incr = Dtr_core.Eval_incr
 module Joint_failure = Dtr_core.Joint_failure
 module Srlg = Dtr_topology.Srlg
 module Lexico = Dtr_cost.Lexico
-module Spf_delta = Dtr_spf.Spf_delta
 
 let tests () =
   let rng = Rng.create 99 in
@@ -200,22 +199,19 @@ let parallel_sweep () =
       "large tier capped at 250 nodes (set DTR_LARGE=full for 500/1000)";
   Harness.write_bench_json ~kernel:"parallel_sweep" !json
 
-(* Failure-sweep pricing at three incrementality tiers — the tentpole
-   benchmark of the dynamic-SPF repair engine:
+(* Failure-sweep pricing at two incrementality tiers — the benchmark of the
+   dynamic-SPF repair engine:
 
    - {e from-scratch}: every failure state priced independently, a full
      Dijkstra per destination and class plus a full assessment (no reuse of
      the no-failure bases at all);
-   - {e shared-base}: the [DTR_NO_DSPF] path — unaffected destinations share
-     the no-failure routing, affected ones rerun Dijkstra, and the whole
-     assessment (loads, delays, SLA, congestion) is recomputed per failure;
-   - {e repaired}: the dynamic-SPF engine — affected destinations are
-     repaired over their affected cone only, and loads, delays, SLA
-     subtotals and congestion terms are patched from the sweep cache.
+   - {e repaired}: the sweep — affected destinations are repaired over
+     their affected cone only, and loads, delays, SLA subtotals and
+     congestion terms are patched from the sweep cache.
 
    Serial execution isolates the algorithmic gain from domain parallelism,
    and the bit-identity contract (costs, loads, violation and unreachable
-   counts) is asserted on every failure state of every tier, not eyeballed. *)
+   counts) is asserted on every failure state, not eyeballed. *)
 let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
 
 let same_floats a b =
@@ -246,7 +242,6 @@ let failure_sweep () =
           "instance";
           "failures";
           "from-scratch";
-          "shared-base";
           "repaired";
           "speedup";
           "identical";
@@ -279,20 +274,13 @@ let failure_sweep () =
               List.map (fun f -> Eval.evaluate scenario ~failure:f w) failures))
     in
     let sweep () = Eval.sweep_details scenario ~exec:Dtr_exec.Exec.serial w failures in
-    let was = Spf_delta.enabled () in
-    Spf_delta.set_enabled false;
-    let shared, shared_time =
-      Dtr_obs.Span.with_ ~name:"shared_base" (fun () -> best_of sweep)
-    in
-    Spf_delta.set_enabled true;
     let repaired, repaired_time =
       Dtr_obs.Span.with_ ~name:"repaired" (fun () -> best_of sweep)
     in
-    Spf_delta.set_enabled was;
-    if not (same_details scratch shared && same_details scratch repaired) then
+    if not (same_details scratch repaired) then
       failwith
         (Printf.sprintf
-           "failure_sweep: sweep tiers of %s are NOT bit-identical to the \
+           "failure_sweep: the sweep of %s is NOT bit-identical to the \
             from-scratch pricing"
            label);
     let speedup = scratch_time /. repaired_time in
@@ -302,7 +290,6 @@ let failure_sweep () =
         label;
         string_of_int (List.length failures);
         Printf.sprintf "%.1f ms" (1e3 *. scratch_time);
-        Printf.sprintf "%.1f ms" (1e3 *. shared_time);
         Printf.sprintf "%.1f ms" (1e3 *. repaired_time);
         Printf.sprintf "%.2fx" speedup;
         "yes";
@@ -314,11 +301,6 @@ let failure_sweep () =
             ~name:(Printf.sprintf "%s from-scratch" label)
             ~topology ~nodes:(Graph.num_nodes g) ~arcs:(Graph.num_arcs g) ~seed
             ~ns_per_op:(1e9 *. scratch_time /. nf) ~speedup:1.0;
-          Harness.bench_json_row
-            ~name:(Printf.sprintf "%s shared-base" label)
-            ~topology ~nodes:(Graph.num_nodes g) ~arcs:(Graph.num_arcs g) ~seed
-            ~ns_per_op:(1e9 *. shared_time /. nf)
-            ~speedup:(scratch_time /. shared_time);
           Harness.bench_json_row
             ~name:(Printf.sprintf "%s repaired" label)
             ~topology ~nodes:(Graph.num_nodes g) ~arcs:(Graph.num_arcs g) ~seed
@@ -336,9 +318,8 @@ let failure_sweep () =
 
 (* Joint-failure events (SRLG groups, sampled two-link pairs, cascade
    expansions) are multi-arc deletion batches; this kernel measures the
-   dynamic-SPF multi-arc repair against per-event from-scratch pricing and
-   the shared-base (dspf-off) path on the backbone tier, asserting
-   bit-identity across all three. *)
+   dynamic-SPF multi-arc repair against per-event from-scratch pricing on
+   the backbone tier, asserting bit-identity between the two. *)
 let joint_sweep () =
   Harness.section "joint_sweep: multi-arc incremental repair on joint events";
   Harness.with_span_report ~kernel:"joint_sweep" @@ fun () ->
@@ -350,7 +331,6 @@ let joint_sweep () =
           "count";
           "arcs/event";
           "from-scratch";
-          "shared-base";
           "repaired";
           "speedup";
           "identical";
@@ -412,20 +392,12 @@ let joint_sweep () =
               List.map (fun f -> Eval.evaluate scenario ~failure:f w) failures))
     in
     let sweep () = Eval.sweep_details scenario ~exec:Dtr_exec.Exec.serial w failures in
-    let was = Spf_delta.enabled () in
-    Spf_delta.set_enabled false;
-    let shared, shared_time =
-      Dtr_obs.Span.with_ ~name:"shared_base" (fun () -> best_of sweep)
-    in
-    Spf_delta.set_enabled true;
     let repaired, repaired_time =
       Dtr_obs.Span.with_ ~name:"repaired" (fun () -> best_of sweep)
     in
-    Spf_delta.set_enabled was;
-    if not (same_details scratch shared && same_details scratch repaired) then
+    if not (same_details scratch repaired) then
       failwith
-        (Printf.sprintf
-           "joint_sweep: %s pricing tiers are NOT bit-identical to from-scratch"
+        (Printf.sprintf "joint_sweep: %s pricing is NOT bit-identical to from-scratch"
            label);
     let speedup = scratch_time /. repaired_time in
     let nf = float_of_int (List.length failures) in
@@ -441,7 +413,6 @@ let joint_sweep () =
         string_of_int (List.length failures);
         Printf.sprintf "%.1f" mean_arcs;
         Printf.sprintf "%.1f ms" (1e3 *. scratch_time);
-        Printf.sprintf "%.1f ms" (1e3 *. shared_time);
         Printf.sprintf "%.1f ms" (1e3 *. repaired_time);
         Printf.sprintf "%.2fx" speedup;
         "yes";
@@ -815,13 +786,11 @@ let serve_replay () =
 (* --- move_search: the pruned move-pricing loop ----------------------------
 
    Throughput of the searches' innermost loop — propose a single-arc move,
-   price it, accept or reject — with and without the move-space pruning
-   stack (lexicographic early-abort pricing + the weight-vector delta
-   cache).  Pruning is exact, so every A/B pair must follow the identical
-   trajectory: the kernel asserts bit-identical weights and objective, and
-   the eval counts agree by construction.  Moves/s is therefore a clean
-   like-for-like measure; the abort and cache-hit rates explain where the
-   time went.
+   price it, accept or reject — through the move-space pruning stack
+   (lexicographic early-abort pricing + the weight-vector delta cache).
+   Pruning is exact (the test suite checks it against a from-scratch
+   oracle engine), so moves/s is a like-for-like measure across commits;
+   the abort and cache-hit rates explain where the time went.
 
    The workload is the serve daemon's own: traffic has drifted away from
    the incumbent (a tm_update), and the daemon warm-starts a bounded
@@ -832,9 +801,9 @@ let serve_replay () =
    probe without pricing anything.
 
    The failure list is priced in descending order of per-failure cost under
-   the incumbent (one untimed sweep).  Order is caller-controlled and both
-   arms price the identical ordered list, so exactness is untouched —
-   fronting the expensive scenarios only moves the abort earlier.
+   the incumbent (one untimed sweep).  Order is caller-controlled, so
+   exactness is untouched — fronting the expensive scenarios only moves the
+   abort earlier.
 
    The --fast criticality-gated proposal filter is NOT exact — it changes
    the trajectory — so it is reported separately, with its quality delta
@@ -843,7 +812,6 @@ let serve_replay () =
 
 module Phase1 = Dtr_core.Phase1
 module Phase2 = Dtr_core.Phase2
-module Prune = Dtr_core.Prune
 module Delta_cache = Dtr_core.Delta_cache
 module Matrix = Dtr_traffic.Matrix
 
@@ -881,9 +849,9 @@ let move_search () =
   let json = ref [] in
   let t =
     Dtr_util.Table.create
-      ~title:"move pricing throughput (serial; prune A/B is bit-identical)"
+      ~title:"pruned move pricing throughput (serial)"
       ~columns:
-        [ "instance"; "variant"; "moves"; "time"; "moves/s"; "aborted"; "cache"; "speedup" ]
+        [ "instance"; "tier"; "moves"; "time"; "moves/s"; "aborted"; "cache"; "vs warm" ]
   in
   let q =
     Dtr_util.Table.create
@@ -933,88 +901,65 @@ let move_search () =
         ~exec:Dtr_exec.Exec.serial ~failures ~budget ~cache
         ~incumbent:phase1.Phase1.best drifted
     in
-    let time_warm ~tier ~reps ~best_of ~prune =
-      let was = Prune.enabled () in
-      Prune.set_enabled prune;
-      Fun.protect
-        ~finally:(fun () -> Prune.set_enabled was)
-        (fun () ->
-          Dtr_obs.Span.with_
-            ~name:(Printf.sprintf "%s.%s.prune_%b" tier prefix prune)
-          @@ fun () ->
-          let best = ref Float.infinity in
-          let out = ref None in
-          for _ = 1 to best_of do
-            let cache = Delta_cache.create ~capacity:4096 in
-            let t0 = Unix.gettimeofday () in
-            let r = ref (warm_once ~cache) in
-            for _ = 2 to reps do
-              r := warm_once ~cache
-            done;
-            let dt = Unix.gettimeofday () -. t0 in
-            if dt < !best then best := dt;
-            out := Some (!r, Delta_cache.stats cache)
-          done;
-          let r, cs = Option.get !out in
-          (r, cs, !best))
+    let time_warm ~tier ~reps ~best_of =
+      Dtr_obs.Span.with_ ~name:(Printf.sprintf "%s.%s" tier prefix) @@ fun () ->
+      let best = ref Float.infinity in
+      let out = ref None in
+      for _ = 1 to best_of do
+        let cache = Delta_cache.create ~capacity:4096 in
+        let t0 = Unix.gettimeofday () in
+        let r = ref (warm_once ~cache) in
+        for _ = 2 to reps do
+          r := warm_once ~cache
+        done;
+        let dt = Unix.gettimeofday () -. t0 in
+        if dt < !best then best := dt;
+        out := Some (!r, Delta_cache.stats cache)
+      done;
+      let r, cs = Option.get !out in
+      (r, cs, !best)
     in
-    let warm_tier ~tier ~reps ~best_of =
-      let r_off, _, t_off = time_warm ~tier ~reps ~best_of ~prune:false in
-      let r_on, cs, t_on = time_warm ~tier ~reps ~best_of ~prune:true in
-      if
-        not
-          (Weights.equal r_off.Optimizer.weights r_on.Optimizer.weights
-          && same_float r_off.Optimizer.objective.Lexico.lambda
-               r_on.Optimizer.objective.Lexico.lambda
-          && same_float r_off.Optimizer.objective.Lexico.phi
-               r_on.Optimizer.objective.Lexico.phi
-          && r_off.Optimizer.warm_evals = r_on.Optimizer.warm_evals)
-      then
-        failwith
-          (Printf.sprintf
-             "move_search: pruned %s on %s is NOT identical to the unpruned \
-              trajectory — the exactness contract is broken"
-             tier label);
-      let moves = reps * r_on.Optimizer.warm_evals in
-      let mps dt = float_of_int moves /. dt in
+    (* The table's speedup is against the single warm run's time per move,
+       so the rewarm row shows what the shared delta cache buys on a repeat.
+       Row names keep their "prune=on" suffix so new stamps extend the
+       committed ns_per_op trajectories.  Their JSON [speedup] is 1.0:
+       committed rows stamped while pruning could still be switched off
+       carry pruned-vs-unpruned there, which no longer has a baseline, and
+       a rewarm/warm ratio under the same name would mix two meanings. *)
+    let warm_tier ~tier ~reps ~best_of ~base_ns =
+      let r, cs, dt = time_warm ~tier ~reps ~best_of in
+      let moves = reps * r.Optimizer.warm_evals in
+      let ns = 1e9 *. dt /. float_of_int moves in
+      let speedup = match base_ns with Some b -> b /. ns | None -> 1.0 in
       let hits = cs.Delta_cache.hits + cs.Delta_cache.lower_hits in
       let probes = hits + cs.Delta_cache.misses in
-      List.iter
-        (fun (variant, dt, aborted, cache_cell, speedup) ->
-          Dtr_util.Table.add_row t
-            [
-              label;
-              Printf.sprintf "%s %s" tier variant;
-              string_of_int moves;
-              Printf.sprintf "%.0f ms" (1e3 *. dt);
-              Printf.sprintf "%.0f" (mps dt);
-              aborted;
-              cache_cell;
-              Printf.sprintf "%.2fx" speedup;
-            ];
-          json :=
-            !json
-            @ [
-                Harness.bench_json_row
-                  ~name:(Printf.sprintf "%s%s %s" prefix tier variant)
-                  ~topology ~nodes:(Graph.num_nodes g) ~arcs ~seed
-                  ~ns_per_op:(1e9 *. dt /. float_of_int moves)
-                  ~speedup;
-              ])
+      Dtr_util.Table.add_row t
         [
-          ("prune=off", t_off, "-", "-", 1.0);
-          ( "prune=on",
-            t_on,
-            pct r_on.Optimizer.warm_pruned r_on.Optimizer.warm_evals,
-            Printf.sprintf "%s hit" (pct hits probes),
-            t_off /. t_on );
+          label;
+          tier;
+          string_of_int moves;
+          Printf.sprintf "%.0f ms" (1e3 *. dt);
+          Printf.sprintf "%.0f" (float_of_int moves /. dt);
+          pct r.Optimizer.warm_pruned r.Optimizer.warm_evals;
+          Printf.sprintf "%s hit" (pct hits probes);
+          Printf.sprintf "%.2fx" speedup;
         ];
-      (t_off /. t_on, r_on, cs, probes)
+      json :=
+        !json
+        @ [
+            Harness.bench_json_row
+              ~name:(Printf.sprintf "%s%s prune=on" prefix tier)
+              ~topology ~nodes:(Graph.num_nodes g) ~arcs ~seed ~ns_per_op:ns
+              ~speedup:1.0;
+          ];
+      (ns, speedup, r, cs, probes)
     in
-    let warm_speedup, r_on, cs, probes =
-      warm_tier ~tier:"warm" ~reps:1 ~best_of:2
+    let warm_ns, _, r_on, cs, probes =
+      warm_tier ~tier:"warm" ~reps:1 ~best_of:2 ~base_ns:None
     in
-    let rewarm_speedup, _, _, _ = warm_tier ~tier:"rewarm2" ~reps:2 ~best_of:1 in
+    let _, rewarm_speedup, _, _, _ =
+      warm_tier ~tier:"rewarm2" ~reps:2 ~best_of:1 ~base_ns:(Some warm_ns)
+    in
     (* Phase-2 tier: exact vs --fast.  Different trajectories, so the
        comparison is a (time, quality) pair, not a speedup. *)
     let time_phase2 ~fast =
@@ -1069,9 +1014,9 @@ let move_search () =
             ~speedup:(t_exact /. t_fast);
         ];
     Harness.note
-      "%s: warm %.2fx, rewarm2 %.2fx moves/s with pruning (%s aborted, cache \
-       %s of %d probes); --fast %.2fx time at phi ratio %.3f"
-      label warm_speedup rewarm_speedup
+      "%s: rewarm2 %.2fx moves/s over warm (%s aborted, cache %s of %d \
+       probes); --fast %.2fx time at phi ratio %.3f"
+      label rewarm_speedup
       (pct r_on.Optimizer.warm_pruned r_on.Optimizer.warm_evals)
       (pct (cs.Delta_cache.hits + cs.Delta_cache.lower_hits) probes)
       probes (t_exact /. t_fast) phi_ratio

@@ -42,32 +42,8 @@ let list_ids () =
   print_endline "available experiments:";
   List.iter (fun (id, doc, _) -> Printf.printf "  %-14s %s\n" id doc) experiments
 
-(* --chunk-size N pins the pool's work-queue chunk size for every experiment
-   in the run (mirrors dtr-opt's flag and the DTR_CHUNK_SIZE variable;
-   scheduling only, results are bit-identical for every value). *)
-let set_chunk_size v =
-  match int_of_string_opt v with
-  | Some n when n >= 1 -> Dtr_exec.Exec.set_chunk_size (Some n)
-  | _ ->
-      Printf.eprintf "invalid --chunk-size %S: expected an integer >= 1\n" v;
-      exit 1
-
-let rec parse_args acc = function
-  | [] -> List.rev acc
-  | "--chunk-size" :: v :: rest ->
-      set_chunk_size v;
-      parse_args acc rest
-  | [ "--chunk-size" ] ->
-      Printf.eprintf "--chunk-size requires a value\n";
-      exit 1
-  | arg :: rest when String.length arg > 13 && String.sub arg 0 13 = "--chunk-size=" ->
-      set_chunk_size (String.sub arg 13 (String.length arg - 13));
-      parse_args acc rest
-  | arg :: rest -> parse_args (arg :: acc) rest
-
 let () =
-  let args = parse_args [] (List.tl (Array.to_list Sys.argv)) in
-  match args with
+  match List.tl (Array.to_list Sys.argv) with
   | [ "--list" ] -> list_ids ()
   | [] ->
       Printf.printf "DTR experiment harness (scale: %s)\n%!" Harness.scale.Harness.name;

@@ -96,43 +96,14 @@ let seed =
 
 let jobs =
   Arg.(value & opt (some Dtr_cli.Cli.jobs_conv) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Price failure sweeps on $(docv) domains.  Results are \
-               bit-identical for every job count.  Overrides the DTR_JOBS \
+         ~doc:"Price failure sweeps and Phase-1b probes on $(docv) \
+               domains.  Results and the $(b,--verbose) search counters \
+               are identical for every job count.  Overrides the DTR_JOBS \
                environment variable; the default is serial execution.")
 
 (* Explicit flag wins over DTR_JOBS; absent both, run serially.  Validation
    happens in Dtr_cli.Cli.jobs_conv, through Cmdliner's own error channel. *)
 let exec_of_jobs = Dtr_cli.Cli.exec_of_jobs
-
-let chunk_size =
-  Arg.(value & opt (some Dtr_cli.Cli.chunk_size_conv) None
-       & info [ "chunk-size" ] ~docv:"ITEMS"
-           ~doc:"Pin the pool's work-queue chunk size to $(docv) items per \
-                 claim instead of the adaptive policy.  Chunking only \
-                 affects scheduling: results are bit-identical for every \
-                 chunk size.  Overrides the DTR_CHUNK_SIZE environment \
-                 variable.")
-
-let apply_chunk_size = Dtr_cli.Cli.apply_chunk_size
-
-let no_dspf =
-  Arg.(value & flag & info [ "no-dspf" ]
-         ~doc:"Disable the dynamic-SPF failure-sweep engine and price every \
-               failure state from scratch (mirrors the DTR_NO_DSPF \
-               environment variable; results are bit-identical either way, \
-               the flag exists for A/B benchmarking).")
-
-let apply_no_dspf flag = if flag then Dtr_spf.Spf_delta.set_enabled false
-
-let no_prune =
-  Arg.(value & flag & info [ "no-prune" ]
-         ~doc:"Disable move-space pruning — lexicographic early-abort \
-               pricing and the cross-restart weight-vector delta cache — \
-               and price every candidate in full (mirrors the DTR_NO_PRUNE \
-               environment variable; results are bit-identical either way, \
-               the flag exists for A/B benchmarking).")
-
-let apply_no_prune flag = if flag then Dtr_core.Prune.set_enabled false
 
 let fast =
   Arg.(value & flag & info [ "fast" ]
@@ -140,31 +111,28 @@ let fast =
                neither failure-critical nor loaded are progressively \
                skipped (up to 60% of proposals) as the acceptance rate \
                decays.  Faster, but the search trajectory changes — a \
-               quality/time trade, unlike $(b,--no-prune) which toggles an \
-               exact optimization.")
+               quality/time trade, unlike the always-on early-abort pricing \
+               and delta cache, which are exact.")
 
 let print_prune_breakdown (solution : Optimizer.solution) =
   let p1 = solution.Optimizer.phase1.Dtr_core.Phase1.stats in
   let p2 = solution.Optimizer.phase2.Dtr_core.Phase2.stats in
   Format.printf
     "prune breakdown: phase1 %d trials early-aborted; phase2 %d \
-     early-aborted, %d proposals skipped, delta cache %d hits / %d misses \
-     (pruning %s)@."
+     early-aborted, %d proposals skipped, delta cache %d hits / %d misses@."
     p1.Dtr_core.Phase1.pruned p2.Dtr_core.Phase2.pruned
     p2.Dtr_core.Phase2.skipped p2.Dtr_core.Phase2.cache_hits
     p2.Dtr_core.Phase2.cache_misses
-    (if Dtr_core.Prune.enabled () then "on" else "off")
 
 let print_sweep_breakdown () =
   let count name = Dtr_obs.Metric.(Counter.value (Counter.create name)) in
   Format.printf
     "sweep breakdown: %d sweeps, %.2fs wall; %d failure evaluations via the \
-     dynamic-SPF cache, %d from scratch; %d cache builds (engine %s)@."
+     dynamic-SPF cache, %d from scratch; %d cache builds@."
     (count "eval.sweeps")
     Dtr_obs.Metric.(Accum.value (Accum.create "eval.sweep.seconds"))
     (count "eval.sweep.cached_evals") (count "eval.sweep.full_evals")
     (count "eval.sweep.cache_builds")
-    (if Dtr_spf.Spf_delta.enabled () then "on" else "off")
 
 let report_path =
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"PATH"
@@ -243,8 +211,6 @@ let instance_fields scenario ~topo ~topology_file ~seed ~exec =
     ("arcs", I (Scenario.num_arcs scenario));
     ("seed", I seed);
     ("jobs", I (Dtr_exec.Exec.jobs exec));
-    ("dspf_engine", B (Dtr_spf.Spf_delta.enabled ()));
-    ("prune", B (Dtr_core.Prune.enabled ()));
   ]
 
 let theta =
@@ -269,10 +235,7 @@ let build_params theta_ms paper_scale =
 
 (* A malformed or unreadable input file is a usage error reported on
    stderr, not an uncaught exception. *)
-let load_or_exit f =
-  try f () with Failure msg | Sys_error msg | Invalid_argument msg ->
-    Format.eprintf "dtr-opt: %s@." msg;
-    exit Cmd.Exit.cli_error
+let load_or_exit f = Dtr_cli.Cli.load_or_exit ~prog:"dtr-opt" f
 
 (* An instance comes either from files or from the generators. *)
 let build_scenario ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_file
@@ -360,11 +323,8 @@ let print_failure_comparison scenario ~exec ~regular ~robust =
 
 let run_optimize topo nodes degree avg_util seed fraction selector fmodel srlg_radius
     pair_samples cascade_trip theta_ms paper_scale topology_file traffic_file
-    out_weights jobs chunk_size no_dspf no_prune fast_mode verbose report trace log =
+    out_weights jobs fast_mode verbose report trace log =
   let exec = exec_of_jobs jobs in
-  apply_chunk_size chunk_size;
-  apply_no_dspf no_dspf;
-  apply_no_prune no_prune;
   if verbose then begin
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some Logs.Info)
@@ -452,12 +412,8 @@ let run_optimize topo nodes degree avg_util seed fraction selector fmodel srlg_r
 (* ------------------------------------------------------------------ *)
 
 let run_evaluate topo nodes degree avg_util seed theta_ms topology_file traffic_file
-    weights_file node_failures jobs chunk_size no_dspf no_prune verbose report trace
-    log =
+    weights_file node_failures jobs verbose report trace log =
   let exec = exec_of_jobs jobs in
-  apply_chunk_size chunk_size;
-  apply_no_dspf no_dspf;
-  apply_no_prune no_prune;
   let log = resolve_log ~verbose log in
   (* The bracket resets all counters at entry — without it, in-process reuse
      (and the sweeps below) reported stale totals accumulated by earlier
@@ -580,8 +536,7 @@ let optimize_term =
     const run_optimize $ topo $ nodes $ degree $ avg_util $ seed $ fraction $ selector
     $ failure_model $ srlg_radius $ pair_samples $ cascade_trip
     $ theta $ paper_scale $ topology_file $ traffic_file $ out_weights $ jobs
-    $ chunk_size $ no_dspf $ no_prune $ fast $ verbose $ report_path $ trace_path
-    $ log_path)
+    $ fast $ verbose $ report_path $ trace_path $ log_path)
 
 let optimize_cmd =
   Cmd.v (Cmd.info "optimize" ~doc:"run the two-phase robust optimization") optimize_term
@@ -600,8 +555,7 @@ let evaluate_cmd =
     Term.(
       const run_evaluate $ topo $ nodes $ degree $ avg_util $ seed $ theta
       $ topology_file $ traffic_file $ weights_file $ node_failures $ jobs
-      $ chunk_size $ no_dspf $ no_prune $ verbose $ report_path $ trace_path
-      $ log_path)
+      $ verbose $ report_path $ trace_path $ log_path)
 
 let cmd =
   let doc = "robust dual-topology routing optimization (Kwong et al., CoNEXT 2008)" in

@@ -74,25 +74,9 @@ let weights_file =
 
 let jobs =
   Arg.(value & opt (some Dtr_cli.Cli.jobs_conv) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Price failure sweeps on $(docv) domains.  Results are \
-               bit-identical for every job count.  Overrides DTR_JOBS.")
-
-let chunk_size =
-  Arg.(value & opt (some Dtr_cli.Cli.chunk_size_conv) None
-       & info [ "chunk-size" ] ~docv:"ITEMS"
-           ~doc:"Pin the pool's work-queue chunk size (overrides \
-                 DTR_CHUNK_SIZE; scheduling only, results unchanged).")
-
-let no_dspf =
-  Arg.(value & flag & info [ "no-dspf" ]
-         ~doc:"Disable the dynamic-SPF failure-sweep engine (mirrors \
-               DTR_NO_DSPF; results are bit-identical either way).")
-
-let no_prune =
-  Arg.(value & flag & info [ "no-prune" ]
-         ~doc:"Disable move-space pruning — early-abort pricing and the \
-               warm-restart weight-vector delta cache (mirrors \
-               DTR_NO_PRUNE; results are bit-identical either way).")
+         ~doc:"Price failure sweeps and Phase-1b probes on $(docv) \
+               domains.  Results are bit-identical for every job count.  \
+               Overrides DTR_JOBS.")
 
 let socket =
   Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
@@ -145,23 +129,22 @@ let build_params theta_ms =
   { Scenario.quick_params with
     Scenario.sla = Dtr_cost.Sla.with_theta (theta_ms /. 1000.) }
 
+let load_or_exit f = Dtr_cli.Cli.load_or_exit ~prog:"dtr-serve" f
+
 let build_scenario ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_file
     ~traffic_file =
   let rng = Rng.create seed in
   let graph =
     match topology_file with
-    | Some path -> Dtr_io.Graph_io.load ~path
+    | Some path -> load_or_exit (fun () -> Dtr_io.Graph_io.load ~path)
     | None -> Gen.generate rng topo ~nodes ~degree
   in
   let rd, rt =
     match traffic_file with
     | Some path ->
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            Dtr_io.Matrix_io.pair_of_string
-              (really_input_string ic (in_channel_length ic)))
+        load_or_exit (fun () ->
+            In_channel.with_open_bin path In_channel.input_all
+            |> Dtr_io.Matrix_io.pair_of_string)
     | None ->
         let rd, rt =
           Dtr_traffic.Gravity.pair rng ~nodes:(Graph.num_nodes graph) ~total:1000.
@@ -195,12 +178,9 @@ let open_metrics_sink = function
       (Some write, close)
 
 let run topo nodes degree avg_util seed theta_ms fraction topology_file
-    traffic_file weights_file jobs chunk_size no_dspf no_prune socket
-    cache_capacity report trace metrics metrics_every log verbose =
+    traffic_file weights_file jobs socket cache_capacity report trace metrics
+    metrics_every log verbose =
   let exec = Dtr_cli.Cli.exec_of_jobs jobs in
-  Dtr_cli.Cli.apply_chunk_size chunk_size;
-  if no_dspf then Dtr_spf.Spf_delta.set_enabled false;
-  if no_prune then Dtr_core.Prune.set_enabled false;
   let metrics_write, metrics_close = open_metrics_sink metrics in
   Dtr_cli.Cli.with_obs ?log ~verbose ~report ~trace @@ fun () ->
   let params = build_params theta_ms in
@@ -222,7 +202,7 @@ let run topo nodes degree avg_util seed theta_ms fraction topology_file
   let incumbent, critical =
     match weights_file with
     | Some path ->
-        let w = Dtr_io.Weights_io.load ~path in
+        let w = load_or_exit (fun () -> Dtr_io.Weights_io.load ~path) in
         if Dtr_core.Weights.num_arcs w <> Scenario.num_arcs scenario then begin
           Format.eprintf "weight setting has %d arcs but the topology has %d@."
             (Dtr_core.Weights.num_arcs w) (Scenario.num_arcs scenario);
@@ -309,7 +289,6 @@ let run topo nodes degree avg_util seed theta_ms fraction topology_file
           ("arcs", I (Scenario.num_arcs scenario));
           ("seed", I seed);
           ("jobs", I (Dtr_exec.Exec.jobs exec));
-          ("dspf_engine", B (Dtr_spf.Spf_delta.enabled ()));
           ("server", S "dtr-serve");
         ];
       Dtr_obs.Report.set_results
@@ -327,8 +306,8 @@ let cmd =
     (Cmd.info "dtr-serve" ~version:"1.0.0" ~doc)
     Term.(
       const run $ topo $ nodes $ degree $ avg_util $ seed $ theta $ fraction
-      $ topology_file $ traffic_file $ weights_file $ jobs $ chunk_size
-      $ no_dspf $ no_prune $ socket $ cache_capacity $ report_path $ trace_path
-      $ metrics_path $ metrics_every $ log_path $ verbose)
+      $ topology_file $ traffic_file $ weights_file $ jobs $ socket
+      $ cache_capacity $ report_path $ trace_path $ metrics_path $ metrics_every
+      $ log_path $ verbose)
 
 let () = exit (Cmd.eval cmd)

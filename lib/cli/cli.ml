@@ -15,24 +15,14 @@ let jobs_conv =
   in
   Cmdliner.Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+let load_or_exit ~prog f =
+  try f () with Failure msg | Sys_error msg | Invalid_argument msg ->
+    Format.eprintf "%s: %s@." prog msg;
+    exit Cmdliner.Cmd.Exit.cli_error
+
 let exec_of_jobs = function
   | Some n -> Dtr_exec.Exec.of_jobs n
   | None -> Dtr_exec.Exec.default ()
-
-let chunk_size_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | None ->
-        Error (`Msg (Printf.sprintf "invalid chunk size %S, expected an integer" s))
-    | Some n when n < 1 ->
-        Error (`Msg (Printf.sprintf "chunk size must be at least 1 (got %d)" n))
-    | Some n -> Ok n
-  in
-  Cmdliner.Arg.conv ~docv:"ITEMS" (parse, Format.pp_print_int)
-
-let apply_chunk_size = function
-  | Some _ as s -> Dtr_exec.Exec.set_chunk_size s
-  | None -> ()
 
 (* Observability bracket for a CLI run: reset all metrics/spans/traces
    (fixes the stale-counter carry-over between in-process runs), and set the

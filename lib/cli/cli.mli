@@ -5,19 +5,17 @@ val jobs_conv : int Cmdliner.Arg.conv
     through Cmdliner's error channel (usage on stderr, exit code
     [Cmd.Exit.cli_error]) rather than exiting by hand. *)
 
+val load_or_exit : prog:string -> (unit -> 'a) -> 'a
+(** [load_or_exit ~prog load] is [load ()], except that a [Failure],
+    [Sys_error] or [Invalid_argument] raised while reading or parsing an
+    input file is printed as ["<prog>: <message>"] on stderr and ends the
+    process with [Cmd.Exit.cli_error] (124), the exit code of a bad
+    command-line value. *)
+
 val exec_of_jobs : int option -> Dtr_exec.Exec.t
 (** [exec_of_jobs jobs] resolves an execution context: [Some n] forces [n]
     domains (the explicit flag wins over [DTR_JOBS]); [None] falls back to
     [Exec.default ()] (the [DTR_JOBS] environment variable, else serial). *)
-
-val chunk_size_conv : int Cmdliner.Arg.conv
-(** Pool chunk-size converter for [--chunk-size]: accepts integers [>= 1],
-    mirroring {!jobs_conv}'s validation-in-converter style. *)
-
-val apply_chunk_size : int option -> unit
-(** [apply_chunk_size (Some n)] pins the pool chunk size process-wide via
-    [Exec.set_chunk_size] (the explicit flag wins over [DTR_CHUNK_SIZE]);
-    [None] leaves the environment/adaptive default in place. *)
 
 val obs_start :
   ?log:string -> verbose:bool -> report:string option -> trace:string option -> unit -> unit

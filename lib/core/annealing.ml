@@ -139,10 +139,7 @@ let minimize ~rng ~eval ~init config =
    is the rejected re-visit that now prices nothing. *)
 let minimize_incremental ~rng (scenario : Scenario.t) ~init config =
   let e = Eval_incr.create scenario in
-  let cursor =
-    Delta_cache.cursor
-      (if Prune.enabled () then Some (Delta_cache.create ~capacity:256) else None)
-  in
+  let cursor = Delta_cache.cursor (Some (Delta_cache.create ~capacity:256)) in
   let unstaged = ref None in
   let engine =
     Local_search.

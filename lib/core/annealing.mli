@@ -65,7 +65,6 @@ val minimize_incremental :
   result
 (** {!minimize_engine} over a fresh {!Eval_incr} engine for the scenario's
     normal-conditions cost — the fast path for annealing on [Knormal].
-    Re-visited weight vectors are memoized in a {!Delta_cache} (disabled
-    under [DTR_NO_PRUNE=1]); cached costs are bit-identical to re-priced
-    ones and cache decisions consume no randomness, so fixed-seed results
+    Re-visited weight vectors are memoized in a {!Delta_cache}; cached
+    costs are bit-identical to re-priced ones and cache decisions consume no randomness, so fixed-seed results
     are unchanged. *)

@@ -8,7 +8,6 @@ module Delay_model = Dtr_cost.Delay_model
 module Congestion = Dtr_cost.Congestion
 module Exec = Dtr_exec.Exec
 module Scratch = Dtr_exec.Scratch
-module Spf_delta = Dtr_spf.Spf_delta
 
 type detail = {
   cost : Lexico.t;
@@ -471,23 +470,34 @@ type bounded_sweep =
   | Swept of Lexico.t
   | Aborted_at of Lexico.t
 
+(* Failures priced per block when a bounded sweep runs on a pool: a multiple
+   of the job count, so every domain has work, and small, so a sweep that
+   stops early prices little past the stopping failure.  A block costs one
+   pool round trip (about 6 µs on a 2-core x86 VM) against tens to
+   hundreds of µs per failure priced.  At 2 per job, a 16-node daemon's
+   warm re-optimizations price 27% fewer failures than with one block per
+   sweep, while a cold optimize, whose sweeps mostly stop in their last
+   failures, pays about 3-4x the round trips for little saved;
+   EXPERIMENTS.md has the counts and timings. *)
+let block_per_job = 2
+
 (* The sweep core, over the scenario's own matrices: the details of the
    priced failures in scenario order, and whether [stop] cut the sweep
    short.  The dynamic-SPF sweep cache (about the price of one normal
-   assessment; [DTR_NO_DSPF=1] disables it) is read by every cacheable
-   failure.
+   assessment) is read by every cacheable failure.
 
-   - Serial: [stop] sees the running compound (from [Lexico.zero]) after
-     each failure.  Per-failure costs are componentwise non-negative, so it
-     is a monotone lower bound of the total and an abort leaves the rest
-     unpriced.  The cache is built lazily on the first cacheable failure,
-     so a sweep that stops first, or never prices a cacheable failure,
-     pays nothing for it.
-   - Parallel: the cache is built up front and shared read-only, each
-     domain prices with its own scratch, and failure [i]'s detail lands at
-     index [i], so any in-order reduction is bit-identical to the serial
-     loop.  [stop] is not consulted: the caller's test on the exact total
-     makes the same accept/reject decision. *)
+   Failures are priced in blocks with [Exec.map]: the whole array when
+   there is no [stop], one failure at a time under a serial context, and
+   [block_per_job * jobs] otherwise.  Failure [i]'s detail lands at index
+   [i] whichever domain priced it.  [stop] then sees the running compound
+   (from [Lexico.zero]) after each failure of the block, in order: per-failure
+   costs are componentwise non-negative, so it is a monotone lower bound of
+   the total, and the sweep is truncated at the first failure where it
+   fires.  The result — details, [stopped] and the counters below — is
+   therefore the same at every job count; a pool only prices, and drops,
+   at most the rest of the last block.  The cache is built before the first
+   block that holds a cacheable failure, so a sweep that stops first, or
+   never prices a cacheable failure, pays nothing for it. *)
 let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ?stop w failures =
   let g = scenario.Scenario.graph in
   let dense_rd = scenario.Scenario.dense_rd
@@ -502,7 +512,7 @@ let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ?stop w failures =
   in
   if Dtr_obs.Trace.enabled () then
     Dtr_obs.Trace.emit_sweep_begin ~scenario:trace_id ~failures:num;
-  let use_cache = Spf_delta.enabled () && num >= 2 in
+  let use_cache = num >= 2 in
   let cacheable f = use_cache && Failure.excluded_node f = None in
   let cache = ref None in
   let get_cache () =
@@ -514,7 +524,8 @@ let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ?stop w failures =
         Dtr_obs.Metric.Counter.incr c_cache_builds;
         c
   in
-  let price ~scratch f =
+  let price f =
+    let scratch = sweep_scratch_for g in
     if cacheable f then
       assess_failure_cached scenario ~cache:(get_cache ()) ~scratch ~base_d ~base_t
         ~dense_rd ~dense_rt ~sinks w f
@@ -522,26 +533,39 @@ let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ?stop w failures =
       assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask ~base_d
         ~base_t ~dense_rd ~dense_rt ~sinks w f
   in
-  let details, stopped =
-    match Exec.jobs exec with
-    | 1 ->
-        let scratch = make_sweep_scratch g in
-        let priced = ref [] and acc = ref Lexico.zero in
-        let stopped = ref false and i = ref 0 in
-        while (not !stopped) && !i < num do
-          let d = price ~scratch failures.(!i) in
-          priced := d :: !priced;
-          acc := Lexico.add !acc d.cost;
-          (match stop with Some s -> stopped := s !acc | None -> ());
-          incr i
-        done;
-        (Array.of_list (List.rev !priced), !stopped)
-    | _ ->
-        if use_cache then ignore (get_cache () : sweep_cache);
-        ( Exec.map exec ~n:num ~f:(fun i ->
-              price ~scratch:(sweep_scratch_for g) failures.(i)),
-          false )
+  let block =
+    match (stop, Exec.jobs exec) with
+    | None, _ -> max 1 num
+    | Some _, 1 -> 1
+    | Some _, jobs -> block_per_job * jobs
   in
+  let blocks = ref [] and acc = ref Lexico.zero in
+  let stopped = ref false and lo = ref 0 in
+  while (not !stopped) && !lo < num do
+    let lo' = !lo in
+    let len = min block (num - lo') in
+    (* Built here, on the calling domain, before the pool reads it. *)
+    let rec any_cacheable i =
+      i < lo' + len && (cacheable failures.(i) || any_cacheable (i + 1))
+    in
+    if Option.is_none !cache && any_cacheable lo' then ignore (get_cache () : sweep_cache);
+    let priced = Exec.map exec ~n:len ~f:(fun k -> price failures.(lo' + k)) in
+    let kept =
+      match stop with
+      | None -> len
+      | Some s ->
+          let k = ref 0 in
+          while (not !stopped) && !k < len do
+            acc := Lexico.add !acc priced.(!k).cost;
+            stopped := s !acc;
+            incr k
+          done;
+          !k
+    in
+    blocks := (if kept = len then priced else Array.sub priced 0 kept) :: !blocks;
+    lo := lo' + len
+  done;
+  let details = Array.concat (List.rev !blocks) in
   let cached = ref 0 in
   Array.iteri (fun i _ -> if cacheable failures.(i) then incr cached) details;
   Dtr_obs.Metric.Counter.incr c_sweeps;
@@ -550,7 +574,7 @@ let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ?stop w failures =
   Dtr_obs.Metric.Accum.add c_seconds (Unix.gettimeofday () -. t0);
   if Dtr_obs.Trace.enabled () then
     Dtr_obs.Trace.emit_sweep_end ~scenario:trace_id ~failures:num;
-  (details, stopped)
+  (details, !stopped)
 
 (* Failure sweeps compute the no-failure routing once and re-route only the
    destinations whose ECMP DAG lost an arc (see Routing.with_failed_arcs). *)

@@ -51,26 +51,34 @@ module Pool = struct
 end
 
 (* Per-domain Phase-1b probing state: an incremental engine anchored at the
-   Phase-1a best plus a private working copy of it.  Cached across parallel
-   sweeps and keyed by (scenario, anchor) identity — the anchor is the same
-   physical vector for the whole top-up loop, so validation is O(1); a new
-   run (or scenario) simply re-anchors. *)
-type probe_scratch = { engine : Eval_incr.t; w : Weights.t; anchor : Weights.t }
+   Phase-1a best plus a private working copy of it.  Cached across the
+   sweeps of one top-up loop and keyed by (scenario, anchor) identity — the
+   anchor is the same physical vector for the whole loop, so validation is
+   O(1).  A slot holds only the current entry: a new run (or scenario)
+   replaces it, so a long-lived process keeps at most one engine per
+   worker domain.  The calling domain's slot is seeded with the Phase-1a
+   engine and emptied when the loop ends. *)
+type probe_scratch = {
+  scenario : Scenario.t;
+  engine : Eval_incr.t;
+  w : Weights.t;
+  anchor : Weights.t;
+}
 
-let probe_slot : (Scenario.t * probe_scratch) list ref Scratch.t =
-  Scratch.create (fun () -> ref [])
+let probe_slot : probe_scratch option ref Scratch.t = Scratch.create (fun () -> ref None)
 
 let probe_scratch_for scenario best =
-  let cache = Scratch.get probe_slot in
-  match
-    List.find_opt (fun (sc, s) -> sc == scenario && s.anchor == best) !cache
-  with
-  | Some (_, s) -> s
-  | None ->
+  let slot = Scratch.get probe_slot in
+  match !slot with
+  | Some s when s.scenario == scenario && s.anchor == best -> s
+  | _ ->
+      (* Drop the stale entry first so its engine is collectable while the
+         new one is built. *)
+      slot := None;
       let engine = Eval_incr.create scenario in
       ignore (Eval_incr.anchor engine best : Lexico.t);
-      let s = { engine; w = Weights.copy best; anchor = best } in
-      cache := (scenario, s) :: List.filter (fun (sc, _) -> sc != scenario) !cache;
+      let s = { scenario; engine; w = Weights.copy best; anchor = best } in
+      slot := Some s;
       s
 
 let run_impl ~rng ?exec (scenario : Scenario.t) =
@@ -102,8 +110,6 @@ let run_impl ~rng ?exec (scenario : Scenario.t) =
       converged := Criticality.Convergence.check ~exec tracker sampler
     end
   in
-  (* One incremental engine serves both the Phase-1a search and the
-     Phase-1b sampling loop. *)
   let e = Eval_incr.create scenario in
   let engine =
     Local_search.
@@ -121,9 +127,7 @@ let run_impl ~rng ?exec (scenario : Scenario.t) =
                tolerance band, so their bounds must not be merged into
                one). *)
             match bound with
-            | Some cur
-              when Prune.enabled () && not (Sampler.is_failure_like sampler w ~arc)
-              -> (
+            | Some cur when not (Sampler.is_failure_like sampler w ~arc) -> (
                 let prune =
                   match !best_so_far with
                   | Some best ->
@@ -166,18 +170,21 @@ let run_impl ~rng ?exec (scenario : Scenario.t) =
   let best = search.Local_search.best and best_cost = search.Local_search.best_cost in
   (* Phase 1b: explicit failure-emulating sampling from the best setting
      until rankings converge and every arc has a sample floor.  Every probe
-     is a single-arc move off [best], so the incremental engine anchors at
-     [best] once and prices each probe with a try/rollback pair. *)
+     is a single-arc move off [best]: each domain's probe engine anchors at
+     [best] once and prices its probes with a try/rollback pair. *)
   let phase1b_sweeps = ref 0 and extra_evals = ref 0 in
   let needs_more () =
     (not !converged) || Sampler.min_count sampler < p.Scenario.min_samples
   in
+  (* The calling domain probes on the Phase-1a engine itself, so a serial
+     run builds no second engine. *)
+  let caller_slot = Scratch.get probe_slot in
   ignore (Eval_incr.anchor e best : Lexico.t);
-  (* One parallel probe: price [best] with [arc] raised to the pre-drawn
-     weights, on this domain's own engine — bit-identical to the serial
-     probe, since every engine anchored at [best] prices the same move the
-     same way. *)
-  let probe_parallel ~arc ~wd ~wt =
+  caller_slot := Some { scenario; engine = e; w = Weights.copy best; anchor = best };
+  (* One probe: price [best] with [arc] raised to the pre-drawn weights, on
+     this domain's own engine — every engine anchored at [best] prices the
+     same move the same way, so the domain that runs it does not matter. *)
+  let probe ~arc ~wd ~wt =
     let s = probe_scratch_for scenario best in
     let saved = Weights.save_arc s.w arc in
     Weights.set_arc s.w ~arc ~wd ~wt;
@@ -186,42 +193,31 @@ let run_impl ~rng ?exec (scenario : Scenario.t) =
     Weights.restore_arc s.w saved;
     cost
   in
-  (Span.with_ ~name:"phase1b" @@ fun () ->
+  (Fun.protect ~finally:(fun () -> caller_slot := None) @@ fun () ->
+   Span.with_ ~name:"phase1b" @@ fun () ->
    if Trace.enabled () then Trace.emit_phase ~name:"phase1b";
    Convergence.with_series ~name:"phase1b" @@ fun () ->
    while needs_more () && !phase1b_sweeps < p.Scenario.max_phase1b_rounds do
      incr phase1b_sweeps;
+    (* Draw the sweep's raised weights first, in arc order, so the RNG
+       stream does not depend on the job count; then price the probes and
+       record the samples back in arc order. *)
     let w = Weights.copy best in
-    if Exec.jobs exec = 1 then
-      for arc = 0 to num_arcs - 1 do
-        let saved = Weights.save_arc w arc in
-        Weights.raise_arc rng w ~arc ~wmax:p.Scenario.wmax ~q:p.Scenario.q;
-        let cost = Eval_incr.try_arc e w ~arc in
-        Eval_incr.rollback e;
-        incr extra_evals;
-        Sampler.record sampler ~arc cost;
-        Weights.restore_arc w saved
-      done
-    else begin
-      (* Draw the sweep's raised weights first, in arc order, so the RNG
-         stream is exactly the serial one; then price the probes in
-         parallel and record the samples back in arc order. *)
-      let raised =
-        Array.init num_arcs (fun arc ->
-            let saved = Weights.save_arc w arc in
-            Weights.raise_arc rng w ~arc ~wmax:p.Scenario.wmax ~q:p.Scenario.q;
-            let drawn = (w.Weights.wd.(arc), w.Weights.wt.(arc)) in
-            Weights.restore_arc w saved;
-            drawn)
-      in
-      let costs =
-        Exec.map exec ~n:num_arcs ~f:(fun arc ->
-            let wd, wt = raised.(arc) in
-            probe_parallel ~arc ~wd ~wt)
-      in
-      extra_evals := !extra_evals + num_arcs;
-      Array.iteri (fun arc cost -> Sampler.record sampler ~arc cost) costs
-    end;
+    let raised =
+      Array.init num_arcs (fun arc ->
+          let saved = Weights.save_arc w arc in
+          Weights.raise_arc rng w ~arc ~wmax:p.Scenario.wmax ~q:p.Scenario.q;
+          let drawn = (w.Weights.wd.(arc), w.Weights.wt.(arc)) in
+          Weights.restore_arc w saved;
+          drawn)
+    in
+    let costs =
+      Exec.map exec ~n:num_arcs ~f:(fun arc ->
+          let wd, wt = raised.(arc) in
+          probe ~arc ~wd ~wt)
+    in
+    extra_evals := !extra_evals + num_arcs;
+    Array.iteri (fun arc cost -> Sampler.record sampler ~arc cost) costs;
     converged := Criticality.Convergence.check ~exec tracker sampler;
     (* One convergence point per sampling round: cumulative probes, the
        per-arc sample floor, and whether rankings have converged. *)

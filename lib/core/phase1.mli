@@ -42,11 +42,11 @@ val run : rng:Dtr_util.Rng.t -> ?exec:Dtr_exec.Exec.t -> Scenario.t -> output
 
     [exec] (default {!Dtr_exec.Exec.default}) parallelises the Phase-1b
     top-up: each sweep's failure-emulating weight draws happen serially in
-    arc order (preserving the RNG stream), the probes are priced on the
-    domain pool — each domain owning an incremental engine anchored at the
-    Phase-1a best — and the samples are recorded back in arc order.  The
-    sampler state, criticality and stats are bit-identical for every job
-    count.  Phase 1a itself is inherently sequential (each move depends on
+    arc order (preserving the RNG stream), the probes are priced with
+    {!Dtr_exec.Exec.map} — each domain owning one incremental engine
+    anchored at the Phase-1a best, kept for the current scenario only — and
+    the samples are recorded back in arc order.  The sampler state,
+    criticality and stats are bit-identical for every job count.  Phase 1a itself is inherently sequential (each move depends on
     the previous acceptance) and always runs on the calling domain. *)
 
 val critical_set : Scenario.t -> output -> int list

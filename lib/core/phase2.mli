@@ -45,9 +45,8 @@ val run :
     from its cached no-failure routing bases.  Pricing prunes exactly:
     the gate aborts once the normal partial breaks Eqs. (5)–(6), feasible
     moves are swept against the search incumbent, and a per-run
-    {!Delta_cache} lets revisited vectors skip the sweep entirely.  Both
-    are disabled by {!Prune.set_enabled}[ false] / [DTR_NO_PRUNE], with
-    the same trajectory either way.
+    {!Delta_cache} lets revisited vectors skip the sweep entirely.  The
+    trajectory is the one full pricing follows.
 
     [fast] (default [false]) enables the criticality-gated proposal filter
     ({!Local_search.filter}): arcs scored by the larger of their Phase-1

@@ -5,9 +5,8 @@ type objective = Kfail_if of (Lexico.t -> bool) | Normal_plus_kfail
 
 let engine ?exec ?cache (scenario : Scenario.t) objective ~failures =
   let exec = match exec with Some e -> e | None -> Dtr_exec.Exec.default () in
-  let prune_on = Prune.enabled () in
   let e = Eval_incr.create scenario in
-  let cursor = Delta_cache.cursor (if prune_on then cache else None) in
+  let cursor = Delta_cache.cursor cache in
   let admits normal =
     match objective with Kfail_if ok -> ok normal | Normal_plus_kfail -> true
   in
@@ -45,7 +44,6 @@ let engine ?exec ?cache (scenario : Scenario.t) objective ~failures =
        through the search bound, since J dominates it componentwise. *)
     let gate =
       match (objective, bound) with
-      | _ when not prune_on -> None
       | Kfail_if ok, _ -> Some (fun partial -> not (ok partial))
       | Normal_plus_kfail, Some than -> Some (fun partial -> Lexico.prunes partial ~than)
       | Normal_plus_kfail, None -> None
@@ -65,7 +63,7 @@ let engine ?exec ?cache (scenario : Scenario.t) objective ~failures =
         match (Delta_cache.lookup cursor w, bound) with
         | Some (Delta_cache.Full c), _ -> Ls.Cost c
         | Some (Delta_cache.Lower lb), Some than when Lexico.prunes lb ~than -> Ls.Pruned
-        | _, Some than when prune_on -> (
+        | _, Some than -> (
             match sweep ~prune:(fun partial -> Lexico.prunes partial ~than) w normal with
             | Eval.Swept c ->
                 Delta_cache.record cursor w (Delta_cache.Full c);

@@ -7,8 +7,8 @@
     [Lower] entry that prunes against the search bound rejects the move
     unpriced, and a sweep that aborts on the bound is recorded as a new
     lower bound.  Every abort is exact ({!Dtr_cost.Lexico.prunes}), so the
-    search follows the same trajectory as with from-scratch pricing;
-    {!Prune.set_enabled}[ false] turns aborts and cache off. *)
+    search follows the same trajectory as with from-scratch pricing (the
+    test suite checks it against a stateless from-scratch engine). *)
 
 module Lexico = Dtr_cost.Lexico
 

@@ -1,19 +1,6 @@
 module Metric = Dtr_obs.Metric
 
-(* DTR_NO_PRUNE=1 turns the move-space pruning engine off: bounded pricing
-   falls back to full pricing and the delta cache is never consulted.  The
-   default-on pruned path is bit-identical to the reference path (the abort
-   test is exact under Lexico.compare's tolerance semantics), but the
-   reference must stay reachable for A/B benchmarking and the CI identity
-   leg — same contract as DTR_NO_DSPF for the dynamic-SPF engine. *)
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "DTR_NO_PRUNE" with
-    | Some s when s <> "" && s <> "0" -> false
-    | _ -> true)
-
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
+let enabled () = true
 
 (* Effectiveness counters, mirrored into the observability report (additive
    dtr-obs-report/2 keys) when metrics are on.  The per-run ground truth

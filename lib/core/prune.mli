@@ -1,15 +1,15 @@
-(** Global gate and accounting for the move-space pruning engine.
+(** Accounting for the move-space pruning engine.
 
-    Three pruning mechanisms share this switch: lexicographic early-abort
+    Three pruning mechanisms share these counters: lexicographic early-abort
     pricing (exact, bit-identical to full pricing), the cross-restart
     weight-vector delta cache (exact: hits return previously computed
-    values), and — independently gated behind [--fast] — the
-    criticality-based move proposal filter.  [DTR_NO_PRUNE=1] in the
-    environment, the [--no-prune] CLI flag, or {!set_enabled}[ false]
-    force every pricer back onto the full reference path. *)
+    values), and — behind [--fast] — the criticality-based move proposal
+    filter.  The first two are the only production path; the full-pricing
+    reference they are checked against lives in the test suite. *)
 
 val enabled : unit -> bool
-val set_enabled : bool -> unit
+(** Always [true]: pruning has no off switch.  Kept so run headers can keep
+    recording the engine state. *)
 
 (** {1 Effectiveness counters}
 

@@ -18,9 +18,8 @@ val plan : items:int -> jobs:int -> t
     @raise Invalid_argument if [items < 0] or [jobs < 1]. *)
 
 val plan_sized : size:int -> items:int -> jobs:int -> t
-(** Chunking with an explicit chunk length (the
-    [--chunk-size]/[DTR_CHUNK_SIZE] override, or the pool's adaptive
-    choice), clamped down to [items].
+(** Chunking with an explicit chunk length (the pool's adaptive choice),
+    clamped down to [items].
     @raise Invalid_argument if [items < 0], [jobs < 1], or [size < 1]. *)
 
 val bounds : t -> int -> int * int

@@ -1,14 +1,13 @@
 (** Execution context: how the layers that fan out over independent work
     items (failure sweeps, per-arc statistics, Phase-1b probing) run them.
 
-    A context is either {e serial} — the exact code path the library always
-    had, guaranteed untouched — or a {!Pool} of domains.  Every parallel
-    consumer in the library short-circuits to its pre-existing serial code
-    when [jobs t = 1], and its parallel path is written to be bit-identical:
-    results are written back by item index and reduced in index order, so
-    costs, weights and eval counts do not depend on the context.  [jobs]
-    therefore only changes wall-clock, never results — the property the
-    test suite enforces by running everything under [DTR_JOBS=2] as well.
+    A context is either {e serial} — a plain loop on the calling domain —
+    or a {!Pool} of domains.  Consumers run one code path at every job
+    count: results are written back by item index and reduced in index
+    order, so costs, weights, eval counts and search counters do not
+    depend on the context.  [jobs] therefore only changes wall-clock, never
+    results — the property the test suite enforces by running everything
+    under [DTR_JOBS=2] as well.
 
     Pools are cached per size in a process-global registry ({!of_jobs}), so
     contexts are cheap to construct anywhere; worker domains are joined via
@@ -34,22 +33,6 @@ val jobs : t -> int
 
 val env_var : string
 (** ["DTR_JOBS"]. *)
-
-val chunk_env_var : string
-(** ["DTR_CHUNK_SIZE"]. *)
-
-val set_chunk_size : int option -> unit
-(** Pin the pool chunk size for every subsequent parallel operation (the
-    CLI's [--chunk-size]); [None] restores the default behaviour (the
-    [DTR_CHUNK_SIZE] environment variable if set, the pool's adaptive
-    policy otherwise).  Chunking is a scheduling knob only: results are
-    bit-identical whatever the granularity.
-    @raise Invalid_argument on [Some n] with [n < 1]. *)
-
-val chunk_size : unit -> int option
-(** The effective explicit chunk-size override, if any: the value set via
-    {!set_chunk_size}, else a valid positive [DTR_CHUNK_SIZE], else
-    [None] (adaptive). *)
 
 val default : unit -> t
 (** The context library entry points fall back on when the caller passes

@@ -140,22 +140,18 @@ let run_serial ~n ~f =
    noise even with every worker contending. *)
 let target_chunk_seconds = 1e-3
 
-(* Chunk size for a batch of [n] items: an explicit override wins; otherwise,
-   once a previous batch has calibrated [est_item_s], size chunks so each
-   claim carries about [target_chunk_seconds] of work — capped at an even
-   jobs-way split so no worker is left idle by construction.  Before any
-   estimate exists, fall back to the legacy [Chunk.plan] policy. *)
-let chunk_size_for t ~n = function
-  | Some _ as override -> override
-  | None ->
-      if t.est_item_s <= 0. then None
-      else begin
-        let by_time =
-          int_of_float (Float.ceil (target_chunk_seconds /. t.est_item_s))
-        in
-        let fair = (n + t.jobs - 1) / t.jobs in
-        Some (max 1 (min by_time fair))
-      end
+(* Chunk size for a batch of [n] items: once a previous batch has
+   calibrated [est_item_s], size chunks so each claim carries about
+   [target_chunk_seconds] of work — capped at an even jobs-way split so no
+   worker is left idle by construction.  Before any estimate exists, fall
+   back to the [Chunk.plan] policy. *)
+let chunk_size_for t ~n =
+  if t.est_item_s <= 0. then None
+  else begin
+    let by_time = int_of_float (Float.ceil (target_chunk_seconds /. t.est_item_s)) in
+    let fair = (n + t.jobs - 1) / t.jobs in
+    Some (max 1 (min by_time fair))
+  end
 
 let note_batch t ~n ~elapsed =
   if n > 0 && elapsed > 0. then begin
@@ -169,18 +165,15 @@ let note_batch t ~n ~elapsed =
       (if t.est_item_s > 0. then 0.5 *. (t.est_item_s +. per) else per)
   end
 
-let run ?chunk_size t ~n ~f =
+let run t ~n ~f =
   if n < 0 then invalid_arg "Pool.run: negative item count";
-  (match chunk_size with
-  | Some s when s < 1 -> invalid_arg "Pool.run: chunk size must be positive"
-  | _ -> ());
   if n = 0 then ()
   else if Array.length t.domains = 0 || t.busy then run_serial ~n ~f
   else begin
     if Dtr_obs.Metric.enabled () then Dtr_obs.Metric.Counter.incr m_batches;
     let t0 = Unix.gettimeofday () in
     let chunks =
-      match chunk_size_for t ~n chunk_size with
+      match chunk_size_for t ~n with
       | Some size -> Chunk.plan_sized ~size ~items:n ~jobs:t.jobs
       | None -> Chunk.plan ~items:n ~jobs:t.jobs
     in
@@ -209,12 +202,12 @@ let run ?chunk_size t ~n ~f =
     | None -> ()
   end
 
-let map ?chunk_size t ~f n =
+let map t ~f n =
   if n < 0 then invalid_arg "Pool.map: negative item count";
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
-    run ?chunk_size t ~n ~f:(fun i -> results.(i) <- Some (f i));
+    run t ~n ~f:(fun i -> results.(i) <- Some (f i));
     Array.map (function Some x -> x | None -> assert false) results
   end
 

@@ -29,7 +29,7 @@ val create : jobs:int -> t
 
 val jobs : t -> int
 
-val run : ?chunk_size:int -> t -> n:int -> f:(int -> unit) -> unit
+val run : t -> n:int -> f:(int -> unit) -> unit
 (** Calls [f i] exactly once for every [i] in [0, n), distributing chunks of
     indices over the pool (including the calling domain).  Returns once every
     index has been processed.  If any [f i] raises, remaining chunks are
@@ -37,15 +37,14 @@ val run : ?chunk_size:int -> t -> n:int -> f:(int -> unit) -> unit
     exception observed is re-raised in the caller once all workers have
     stopped.
 
-    Chunk granularity is a scheduling knob only — results never depend on
-    it.  [?chunk_size] pins the indices-per-claim; without it the pool sizes
-    chunks {e adaptively}, targeting about 1ms of work per claim based on
-    the measured per-item cost of previous batches (capped at an even
-    jobs-way split), and falls back to the legacy [items/(jobs*4)] policy on
-    the first, uncalibrated batch.
-    @raise Invalid_argument if [n < 0] or [chunk_size < 1]. *)
+    Chunk granularity is a scheduling choice only — results never depend
+    on it.  The pool sizes chunks {e adaptively}, targeting about 1ms of
+    work per claim based on the measured per-item cost of previous batches
+    (capped at an even jobs-way split), and falls back to the
+    [items/(jobs*4)] policy on the first, uncalibrated batch.
+    @raise Invalid_argument if [n < 0]. *)
 
-val map : ?chunk_size:int -> t -> f:(int -> 'a) -> int -> 'a array
+val map : t -> f:(int -> 'a) -> int -> 'a array
 (** [map t ~f n] is [[| f 0; …; f (n-1) |]], computed as {!run} —
     order-preserving regardless of pool size and scheduling. *)
 

@@ -12,7 +12,6 @@ module Weights = Dtr_core.Weights
 module Eval = Dtr_core.Eval
 module Optimizer = Dtr_core.Optimizer
 module Delta_cache = Dtr_core.Delta_cache
-module Prune = Dtr_core.Prune
 module Resize = Dtr_core.Resize
 module Lexico = Dtr_cost.Lexico
 module Metric = Dtr_obs.Metric
@@ -298,7 +297,6 @@ let handle_hello t =
          ("nodes", int (Graph.num_nodes g));
          ("arcs", int (Graph.num_arcs g));
          ("jobs", int (Dtr_exec.Exec.jobs t.exec));
-         ("dspf", Json.Bool (Dtr_spf.Spf_delta.enabled ()));
        ])
 
 let handle_tm_update t ev =
@@ -547,7 +545,6 @@ let handle_stats t =
          ( "pruning",
            Json.Obj
              [
-               ("enabled", Json.Bool (Prune.enabled ()));
                ("warm_pruned", int t.warm_pruned);
                ("warm_evals", int t.warm_evals);
                ("delta_hits", int d.Delta_cache.hits);

@@ -211,9 +211,7 @@ let with_failed_arcs ?buffers ?changed base ~weights ~disabled ~failed =
      most destinations and the per-destination bookkeeping costs more than a
      plain Dijkstra.  Both paths are bit-identical, so this is purely a
      performance gate. *)
-  let use_repair =
-    Spf_delta.enabled () && 8 * List.length failed < Graph.num_arcs g
-  in
+  let use_repair = 8 * List.length failed < Graph.num_arcs g in
   (* Callers that already know which destinations route over a failed arc
      (the sweep cache keeps per-arc destination lists) pass the sorted list
      in; otherwise scan.  The list must equal the [uses_arc] criterion. *)

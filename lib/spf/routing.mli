@@ -60,11 +60,12 @@ val with_failed_arcs :
     path — and the remaining destinations are {e repaired} by the dynamic-SPF
     engine ({!Spf_delta}): only the affected cone of nodes is re-relaxed and
     only the settled nodes' hop rows rebuilt, bit-identically to a
-    from-scratch Dijkstra (which [DTR_NO_DSPF=1] or
-    {!Spf_delta.set_enabled}[ false] forces instead).  [base] must have been
-    computed with every arc enabled, and [disabled] must be the mask
-    corresponding to [failed].  [?changed], when given, must be exactly the
-    destinations satisfying the [uses_arc] criterion, in increasing order —
+    from-scratch Dijkstra.  A batch of at least an eighth of the arcs is
+    recomputed from scratch instead, where repair stops paying.  [base]
+    must have been computed with every arc enabled, and [disabled] must be
+    the mask corresponding to [failed].  [?changed], when given, must be
+    exactly the destinations satisfying the [uses_arc] criterion, in
+    increasing order —
     callers that already know the set (the sweep cache keeps per-arc
     destination lists) skip the scan.  Single-failure sweeps, the
     optimizer's dominant cost, become several times cheaper. *)

@@ -1,17 +1,7 @@
 module Graph = Dtr_topology.Graph
 module Int_heap = Dtr_util.Int_heap
 
-(* DTR_NO_DSPF=1 forces every failure evaluation back onto the from-scratch
-   per-destination Dijkstra, both here and in the evaluator's sweep cache.
-   The reference path must stay reachable for A/B benchmarking and CI. *)
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "DTR_NO_DSPF" with
-    | Some s when s <> "" && s <> "0" -> false
-    | _ -> true)
-
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
+let enabled () = true
 
 (* Node states during the affected-cone search.  A node is [`Queued] once it
    may have lost shortest-path support, and settles as either [`Unaffected]

@@ -19,12 +19,10 @@
 module Graph = Dtr_topology.Graph
 
 val enabled : unit -> bool
-(** Whether the dynamic-SPF repair engine is active.  Defaults to [true];
-    the environment variable [DTR_NO_DSPF] (set to anything but ["0"] or the
-    empty string) forces the from-scratch path instead. *)
-
-val set_enabled : bool -> unit
-(** Override the engine switch programmatically (the CLI's [--no-dspf]). *)
+(** Always [true]: the repair engine is the only production path for
+    failure routing ({!Routing.with_failed_arcs} still recomputes wide
+    batches from scratch on its own size test).  Kept so run headers can
+    keep recording the engine state. *)
 
 type scratch
 (** Reusable working set for the cone search (state flags + reset lists).

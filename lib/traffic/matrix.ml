@@ -17,6 +17,7 @@ let get t ~src ~dst =
 let set t ~src ~dst v =
   check t src dst;
   if src = dst then invalid_arg "Matrix.set: diagonal must stay zero";
+  if not (Float.is_finite v) then invalid_arg "Matrix.set: non-finite demand";
   if v < 0. then invalid_arg "Matrix.set: negative demand";
   t.rows.(src).(dst) <- v
 
@@ -84,6 +85,8 @@ let of_dense rows =
             if v <> 0. then invalid_arg "Matrix.of_dense: non-zero diagonal"
           end
           else begin
+            if not (Float.is_finite v) then
+              invalid_arg "Matrix.of_dense: non-finite demand";
             if v < 0. then invalid_arg "Matrix.of_dense: negative demand";
             t.rows.(src).(dst) <- v
           end)

@@ -15,8 +15,8 @@ val size : t -> int
 val get : t -> src:int -> dst:int -> float
 
 val set : t -> src:int -> dst:int -> float -> unit
-(** @raise Invalid_argument on the diagonal, negative volume, or
-    out-of-range indices. *)
+(** @raise Invalid_argument on the diagonal, a negative or non-finite
+    (NaN, ±inf) volume, or out-of-range indices. *)
 
 val copy : t -> t
 
@@ -46,7 +46,7 @@ val dense : t -> float array array
 
 val of_dense : float array array -> t
 (** Validating copy-in. @raise Invalid_argument on ragged input, negative
-    entries, or a non-zero diagonal. *)
+    or non-finite entries, or a non-zero diagonal. *)
 
 val add : t -> t -> t
 (** Pointwise sum. @raise Invalid_argument on size mismatch. *)

@@ -123,8 +123,8 @@ let test_real_instance_improves () =
 
 (* The delta cache memoizes re-visited weight vectors inside
    [minimize_incremental]; cache decisions consume no randomness and cached
-   costs are exact, so a fixed seed must land on bit-identical results with
-   the cache on and off ([Prune] gates it, like every pruning layer). *)
+   costs are exact, so a fixed seed must land on bit-identical results to
+   the same anneal over a stateless from-scratch [Eval.cost] engine. *)
 let test_delta_cache_identity () =
   let scenario = Fixtures.small ~seed:91 ~nodes:8 () in
   let num_arcs = Dtr_core.Scenario.num_arcs scenario in
@@ -134,32 +134,25 @@ let test_delta_cache_identity () =
       cooling = 0.7;
     }
   in
-  let solve () =
-    Annealing.minimize_incremental ~rng:(Rng.create 92) scenario
-      ~init:(Weights.create ~num_arcs ~init:1)
-      config
-  in
-  let was = Dtr_core.Prune.enabled () in
-  let cached, uncached =
-    Fun.protect
-      ~finally:(fun () -> Dtr_core.Prune.set_enabled was)
-      (fun () ->
-        Dtr_core.Prune.set_enabled true;
-        let cached = solve () in
-        Dtr_core.Prune.set_enabled false;
-        (cached, solve ()))
+  let init = Weights.create ~num_arcs ~init:1 in
+  let cached = Annealing.minimize_incremental ~rng:(Rng.create 92) scenario ~init config in
+  let oracle =
+    Annealing.minimize_engine ~rng:(Rng.create 92)
+      ~engine:
+        (Dtr_core.Local_search.eval_engine (fun w ->
+             Some (Dtr_core.Eval.cost scenario w)))
+      ~init config
   in
   Alcotest.(check bool) "best weights identical" true
-    (cached.Annealing.best.Weights.wd = uncached.Annealing.best.Weights.wd
-    && cached.Annealing.best.Weights.wt = uncached.Annealing.best.Weights.wt);
+    (cached.Annealing.best.Weights.wd = oracle.Annealing.best.Weights.wd
+    && cached.Annealing.best.Weights.wt = oracle.Annealing.best.Weights.wt);
   Alcotest.(check bool) "best cost identical" true
-    (cached.Annealing.best_cost = uncached.Annealing.best_cost);
-  Alcotest.(check int) "same proposals" cached.Annealing.proposals
-    uncached.Annealing.proposals;
-  Alcotest.(check int) "same accepted" cached.Annealing.accepted
-    uncached.Annealing.accepted;
-  Alcotest.(check int) "same uphill" cached.Annealing.uphill
-    uncached.Annealing.uphill
+    (cached.Annealing.best_cost = oracle.Annealing.best_cost);
+  Alcotest.(check int) "same proposals" oracle.Annealing.proposals
+    cached.Annealing.proposals;
+  Alcotest.(check int) "same accepted" oracle.Annealing.accepted
+    cached.Annealing.accepted;
+  Alcotest.(check int) "same uphill" oracle.Annealing.uphill cached.Annealing.uphill
 
 let suite =
   [

@@ -175,9 +175,8 @@ let test_diamond_exact () =
    incremental pricer, its bounded gate, the bounded sweep from cached
    bases, the delta cache and the dynamic-SPF sweep cache — must be
    invisible, down to the bits of the best cost and the eval count.  The
-   suite runs under DTR_NO_PRUNE / DTR_NO_DSPF / DTR_JOBS too, so each of
-   those paths is checked against the oracle, not only against the
-   others. *)
+   suite runs under DTR_JOBS=2 too, so the parallel sweeps are checked
+   against the oracle as well. *)
 
 let bits c = (Int64.bits_of_float c.Lexico.lambda, Int64.bits_of_float c.Lexico.phi)
 

@@ -283,6 +283,75 @@ let test_optimize_bit_identical_across_jobs () =
     serial.Optimizer.phase2.Dtr_core.Phase2.stats.Dtr_core.Phase2.evals
     parallel.Optimizer.phase2.Dtr_core.Phase2.stats.Dtr_core.Phase2.evals
 
+(* Bounded sweeps stop where they stop serially: a pool prices the failures
+   in blocks and truncates at the failure where the bound fires, so the
+   search statistics and every pruning and sweep counter read the same at
+   every job count, not only the answer. *)
+let test_counters_across_jobs () =
+  let module M = Dtr_obs.Metric in
+  let names =
+    [
+      "prune.aborts";
+      "prune.skips";
+      "prune.cache_hits";
+      "prune.cache_misses";
+      "eval.sweeps";
+      "eval.sweep.cache_builds";
+      "eval.sweep.cached_evals";
+      "eval.sweep.full_evals";
+    ]
+  in
+  let scenario = Fixtures.small ~seed:7 () in
+  let run exec =
+    List.iter (fun n -> M.Counter.reset (M.Counter.create n)) names;
+    let sol = Optimizer.optimize ~rng:(Rng.create 99) ~exec scenario in
+    let p2 = sol.Optimizer.phase2.Dtr_core.Phase2.stats in
+    ( [
+        ("phase2 pruned", p2.Dtr_core.Phase2.pruned);
+        ("phase2 evals", p2.Dtr_core.Phase2.evals);
+        ("phase2 cache hits", p2.Dtr_core.Phase2.cache_hits);
+        ("phase2 cache misses", p2.Dtr_core.Phase2.cache_misses);
+      ]
+    @ List.map (fun n -> (n, M.Counter.value (M.Counter.create n))) names )
+  in
+  let was = M.enabled () in
+  let serial, parallel =
+    Fun.protect
+      ~finally:(fun () -> M.set_enabled was)
+      (fun () ->
+        M.set_enabled true;
+        let serial = run Exec.serial in
+        (serial, run (Lazy.force pool2)))
+  in
+  List.iter2
+    (fun (name, s) (_, p) -> Alcotest.(check int) (name ^ " at jobs 1 and 2") s p)
+    serial parallel;
+  Alcotest.(check bool) "the bound fired" true (List.assoc "phase2 pruned" serial > 0)
+
+(* Phase 1b keeps one probe engine per pool domain, for the current
+   scenario only: a process that optimizes many scenarios in turn must not
+   keep an engine alive for each of them. *)
+let test_probe_engines_bounded () =
+  let exec = Lazy.force pool2 in
+  let scenario i = Fixtures.small ~seed:(300 + i) ~nodes:10 () in
+  let run lo hi =
+    for i = lo to hi - 1 do
+      ignore (Dtr_core.Phase1.run ~rng:(Rng.create i) ~exec (scenario i))
+    done;
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let after3 = run 0 3 in
+  let after12 = run 3 12 in
+  (* what one leaked entry would hold: an engine and the scenario it prices *)
+  let one =
+    let sc = scenario 99 in
+    Obj.reachable_words (Obj.repr (Dtr_core.Eval_incr.create sc, sc))
+  in
+  if after12 - after3 >= 3 * one then
+    Alcotest.failf "live words grew %d -> %d over 9 more scenarios (one engine: %d)"
+      after3 after12 one
+
 let suite =
   [
     Alcotest.test_case "chunk partition" `Quick test_chunk_partition;
@@ -301,4 +370,8 @@ let suite =
       test_sweep_bit_identical_across_jobs;
     Alcotest.test_case "optimize bit-identity (ISP, jobs 4)" `Slow
       test_optimize_bit_identical_across_jobs;
+    Alcotest.test_case "search counters equal at jobs 1 and 2" `Quick
+      test_counters_across_jobs;
+    Alcotest.test_case "phase1b probe engines stay bounded" `Quick
+      test_probe_engines_bounded;
   ]

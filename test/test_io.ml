@@ -132,7 +132,26 @@ let test_matrix_parse_errors () =
   check_fails "demand before size" "demand 0 1 5\n";
   check_fails "diagonal demand" "size 3\ndemand 1 1 5\n";
   check_fails "negative demand" "size 3\ndemand 0 1 -5\n";
-  check_fails "out of range" "size 3\ndemand 0 9 5\n"
+  check_fails "out of range" "size 3\ndemand 0 9 5\n";
+  (* a non-finite demand is rejected with the line it sits on *)
+  List.iter
+    (fun v ->
+      match Matrix_io.of_string (Printf.sprintf "size 3\ndemand 0 1 %s\n" v) with
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s demand names line 2 (%s)" v msg)
+            true
+            (String.starts_with ~prefix:"Matrix_io: line 2:" msg)
+      | _ -> Alcotest.fail (v ^ " demand: expected failure"))
+    [ "nan"; "inf"; "-inf"; "infinity" ];
+  match
+    Matrix_io.pair_of_string
+      "class d\nsize 2\ndemand 0 1 1\nclass t\nsize 2\ndemand 1 0 nan\n"
+  with
+  | exception Failure msg ->
+      Alcotest.(check bool) "pair format names line 6" true
+        (String.starts_with ~prefix:"Matrix_io: line 6:" msg)
+  | _ -> Alcotest.fail "nan demand in a pair file: expected failure"
 
 (* Weights_io *)
 

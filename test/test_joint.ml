@@ -8,7 +8,6 @@ module Graph = Dtr_topology.Graph
 module Failure = Dtr_topology.Failure
 module Srlg = Dtr_topology.Srlg
 module Routing = Dtr_spf.Routing
-module Spf_delta = Dtr_spf.Spf_delta
 module Lexico = Dtr_cost.Lexico
 module Scenario = Dtr_core.Scenario
 module Weights = Dtr_core.Weights
@@ -16,11 +15,6 @@ module Eval = Dtr_core.Eval
 module Joint_failure = Dtr_core.Joint_failure
 module Optimizer = Dtr_core.Optimizer
 module Exec = Dtr_exec.Exec
-
-let with_engine enabled f =
-  let was = Spf_delta.enabled () in
-  Spf_delta.set_enabled enabled;
-  Fun.protect ~finally:(fun () -> Spf_delta.set_enabled was) f
 
 let random_scenario seed =
   let rng = Rng.create seed in
@@ -92,47 +86,55 @@ let prop_multi_arc_repair_identity =
       let n = Graph.num_nodes g in
       let rng = Rng.create (seed + 17) in
       let buffers = Routing.make_buffers g in
-      with_engine true (fun () ->
+      List.iter
+        (fun weights ->
+          let batches = random_batches rng g in
+          (* the widest batch takes the recompute side of the size gate *)
+          if
+            not
+              (List.exists
+                 (fun f ->
+                   8 * List.length (Joint_failure.members g f) >= Graph.num_arcs g)
+                 batches)
+          then QCheck.Test.fail_reportf "no batch reaches an eighth of the arcs";
+          let base = Routing.compute g ~weights ~buffers () in
           List.iter
-            (fun weights ->
-              let base = Routing.compute g ~weights ~buffers () in
-              List.iter
-                (fun f ->
-                  let mask = Failure.mask g f in
-                  let failed = failed_of_mask mask in
-                  let repaired =
-                    Routing.with_failed_arcs ~buffers base ~weights
-                      ~disabled:mask ~failed
-                  in
-                  let scratch =
-                    Routing.compute g ~weights ~buffers ~disabled:mask ()
-                  in
-                  for dest = 0 to n - 1 do
-                    for node = 0 to n - 1 do
-                      if
-                        Routing.distance repaired ~src:node ~dst:dest
-                        <> Routing.distance scratch ~src:node ~dst:dest
-                        || Routing.next_hops repaired ~dest ~node
-                           <> Routing.next_hops scratch ~dest ~node
-                      then
-                        QCheck.Test.fail_reportf
-                          "routing differs (%d->%d) after failing %s" node dest
-                          (Failure.name g f)
-                    done
-                  done;
-                  let loads_r, un_r =
-                    Routing.loads repaired ~graph:g
-                      ~demands:scenario.Scenario.dense_rd ()
-                  in
-                  let loads_s, un_s =
-                    Routing.loads scratch ~graph:g
-                      ~demands:scenario.Scenario.dense_rd ()
-                  in
-                  if un_r <> un_s || loads_r <> loads_s then
-                    QCheck.Test.fail_reportf "loads differ after failing %s"
-                      (Failure.name g f))
-                (random_batches rng g))
-            [ Weights.delay_of w; Weights.throughput_of w ]);
+            (fun f ->
+              let mask = Failure.mask g f in
+              let failed = failed_of_mask mask in
+              let repaired =
+                Routing.with_failed_arcs ~buffers base ~weights
+                  ~disabled:mask ~failed
+              in
+              let scratch =
+                Routing.compute g ~weights ~buffers ~disabled:mask ()
+              in
+              for dest = 0 to n - 1 do
+                for node = 0 to n - 1 do
+                  if
+                    Routing.distance repaired ~src:node ~dst:dest
+                    <> Routing.distance scratch ~src:node ~dst:dest
+                    || Routing.next_hops repaired ~dest ~node
+                       <> Routing.next_hops scratch ~dest ~node
+                  then
+                    QCheck.Test.fail_reportf
+                      "routing differs (%d->%d) after failing %s" node dest
+                      (Failure.name g f)
+                done
+              done;
+              let loads_r, un_r =
+                Routing.loads repaired ~graph:g
+                  ~demands:scenario.Scenario.dense_rd ()
+              in
+              let loads_s, un_s =
+                Routing.loads scratch ~graph:g
+                  ~demands:scenario.Scenario.dense_rd ()
+              in
+              if un_r <> un_s || loads_r <> loads_s then
+                QCheck.Test.fail_reportf "loads differ after failing %s"
+                  (Failure.name g f))
+            batches)
+        [ Weights.delay_of w; Weights.throughput_of w ];
       true)
 
 (* Sweep-level identity over the three joint-event classes: the incremental
@@ -153,10 +155,7 @@ let prop_joint_sweep_identity =
         @ Joint_failure.cascade_all ~exec:Exec.serial ~trip:0.9 scenario w
             [ Failure.Arc 0; Failure.Edge 0 ]
       in
-      let swept =
-        with_engine true (fun () ->
-            Eval.sweep_details scenario ~exec:Exec.serial w events)
-      in
+      let swept = Eval.sweep_details scenario ~exec:Exec.serial w events in
       List.iter2
         (fun f (d : Eval.detail) ->
           let full = Eval.evaluate scenario ~failure:f w in
